@@ -96,7 +96,9 @@ def cmd_lang(args):
     tower = ff.make_tower(p, e)
     if r is None:
         # infer the carrier level from coefficient array lengths
-        probe = c_data[0][0] if isinstance(c_data[0], list) else c_data[0]
+        probe = c_data[0]
+        if group != "Torus" and isinstance(probe, list):
+            probe = probe[0]
         if isinstance(probe, list):
             if len(probe) % tower.e:
                 raise InputError("entry length incompatible with e")

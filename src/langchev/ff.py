@@ -578,7 +578,6 @@ class FieldTower:
     def _roots_in_level(self, poly_gfp, level):
         """All roots, as coefficient tuples, of a GF(p) polynomial that
         splits completely in the given level."""
-        one = (1,) + (0,) * (level.m - 1)
         g = [level.element(int(c) % self.p).coeffs for c in poly_gfp]
         root = self._find_one_root(list(g), level)
         # remaining roots form the orbit under x -> x^p
@@ -589,7 +588,6 @@ class FieldTower:
             if cur == root:
                 break
             roots.append(cur)
-        del one
         return roots
 
     # minimal scalar polynomial helpers over a level (coefficient tuples)

@@ -519,7 +519,7 @@ def solve(instance, rng):
         return solve_so(instance, rng)
     if instance.kind == "Torus":
         return solve_torus(instance.tower, instance.c, instance.r,
-                           instance.s)
+                           instance.s, rng, instance.order_cap)
     raise InputError(f"unknown kind {instance.kind!r}")
 
 

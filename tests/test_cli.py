@@ -67,6 +67,15 @@ def test_lang_torus():
     assert payload["ok"] and payload["s"] == 2
 
 
+def test_lang_torus_infers_level():
+    argv = ["lang", "--group", "Torus", "--p", "5", "--c", "[[1,2],[3,1]]"]
+    code, out = run(argv)
+    assert code == 0
+    code_r, out_r = run(argv + ["--r", "2"])
+    assert code_r == 0
+    assert json.loads(out)["level"] == json.loads(out_r)["level"]
+
+
 def test_chevalley_scramble_roundtrip():
     code, out = run(["chevalley", "--type", "A2", "--p", "7", "--scramble",
                      "5", "--seed", "1"])

@@ -305,6 +305,18 @@ def test_solve_torus():
     assert cert2.ok
 
 
+def test_solve_dispatch_uses_rng_for_torus():
+    t = tower(5)
+    lvl = t.level(t.extend(2))
+    c = [lvl.element([1, 2]), lvl.element([3, 1])]
+    inst = LangInstance(kind="Torus", tower=t, c=c, r=2)
+    rng = random.Random(1)
+    before = rng.getstate()
+    cert = solve(inst, rng)
+    assert cert.ok
+    assert rng.getstate() != before
+
+
 def test_verify_catches_bad_entry():
     t = tower(5)
     inst = LangInstance(kind="GL", tower=t, c=Mat.identity(t.level(1), 2))

@@ -323,6 +323,155 @@ def test_verify_allows_simple_rescale():
     assert got == want
 
 
+def _verify_by_brackets(L, rd, basis):
+    """Reference verifier: one bracket per relation, in the order and with
+    the witnesses of verify_chevalley_basis."""
+    level = L.level
+    n = rd.n
+    h, e = basis.h, basis.e
+    if basis.stacked().row_space().nrows != L.dim:
+        return False, "candidate basis does not span the algebra"
+
+    def expect_h(ridx):
+        out = Mat.zeros(level, 1, L.dim)
+        for i in range(n):
+            out = out + h.row(i) * level.element(
+                rd.coroot_Y[ridx][i] % level.p)
+        return out
+
+    for j in range(rd.l):
+        ridx = rd.simple_indices[j]
+        got = bracket(L, e.row(rd.neg(ridx)), e.row(ridx))
+        if got != expect_h(ridx):
+            return False, f"[e_-a, e_a] != h_a for simple root {j + 1}"
+    for xi, (a, b) in rd.extraspecial.items():
+        na = rd.structure_constant_by_index(a, b)
+        if bracket(L, e.row(a), e.row(b)) != \
+                e.row(xi) * level.element(na % level.p):
+            return False, f"extraspecial relation fails at root {xi}"
+        nneg = rd.structure_constant_by_index(rd.neg(a), rd.neg(b))
+        if bracket(L, e.row(rd.neg(a)), e.row(rd.neg(b))) != \
+                e.row(rd.neg(xi)) * level.element(nneg % level.p):
+            return False, f"negative extraspecial relation fails at {xi}"
+
+    for i in range(n):
+        for j in range(n):
+            if not bracket(L, h.row(i), h.row(j)).is_zero():
+                return False, f"[h_{i + 1}, h_{j + 1}] != 0"
+    for r in range(rd.num_roots):
+        for i in range(n):
+            want = e.row(r) * level.element(rd.root_X[r][i] % level.p)
+            if bracket(L, e.row(r), h.row(i)) != want:
+                return False, f"[e_{r}, h_{i + 1}] mismatch"
+        got = bracket(L, e.row(rd.neg(r)), e.row(r))
+        if got != expect_h(r):
+            return False, f"[e_-r, e_r] mismatch at root {r}"
+        for s in range(rd.num_roots):
+            if s == rd.neg(r):
+                continue
+            t = rd.add_roots(r, s)
+            got = bracket(L, e.row(r), e.row(s))
+            if t is None:
+                if not got.is_zero():
+                    return False, f"[e_{r}, e_{s}] should vanish"
+            else:
+                want = e.row(t) * level.element(
+                    rd.structure_constant_by_index(r, s) % level.p)
+                if got != want:
+                    return False, f"[e_{r}, e_{s}] != N e at pair ({r},{s})"
+    return True, None
+
+
+def _perturbed_candidates(planes, n, p, rng):
+    """(name, planes) pairs: the candidate itself and row-operation
+    corruptions of it, three random draws of each kind."""
+    d = planes.shape[1]
+    out = [("unchanged", planes)]
+    for _ in range(3):
+        i, j = rng.sample(range(d), 2)
+        a, b = rng.sample(range(n, d), 2)
+        h = rng.randrange(n)
+        neg = planes.copy()
+        neg[:, i] = (-neg[:, i]) % p
+        swap = planes.copy()
+        swap[:, [a, b]] = swap[:, [b, a]]
+        scale = planes.copy()
+        scale[:, h] = (2 * scale[:, h]) % p
+        add = planes.copy()
+        add[:, i] = (add[:, i] + add[:, j]) % p
+        out += [(f"negate {i}", neg), (f"swap {a} {b}", swap),
+                (f"scale h {h}", scale), (f"add {j} to {i}", add)]
+    singular = planes.copy()
+    singular[:, 0] = singular[:, n]
+    out.append(("singular", singular))
+    return out
+
+
+@pytest.mark.parametrize("t,p,e,r", [
+    ("A2", 5, 1, 1), ("A2", 7, 1, 1), ("B2", 5, 1, 1), ("B2", 7, 1, 1),
+    ("G2", 5, 1, 1), ("G2", 7, 1, 1), ("B3", 5, 1, 1), ("B3", 7, 1, 1),
+    ("A2", 5, 2, 1), ("A2", 5, 1, 2),
+])
+def test_verify_matches_bracket_oracle(t, p, e, r):
+    # in Ls = scramble_basis(L, P) the standard basis of L has coordinates
+    # P^-1, so the rows of P^-1 are a Chevalley basis of Ls
+    rd = rd_of(t)
+    L = from_root_datum(rd, tower(p, e), r, check="none")
+    assert L.level.m == e * r
+    rng = random.Random(f"{t}:{p}:{e}:{r}")
+    while True:
+        P = Mat.random(L.level, L.dim, L.dim, rng)
+        if P.try_inverse() is not None:
+            break
+    Ls = scramble_basis(L, P)
+    good = P.inverse().planes
+    n = rd.n
+    verdicts = []
+    for name, planes in _perturbed_candidates(good, n, p, rng):
+        cand = liealg.ChevalleyBasisFq(
+            Ls, rd, Mat(L.level, planes[:, :n].copy()),
+            Mat(L.level, planes[:, n:].copy()))
+        got = verify_chevalley_basis(Ls, rd, cand)
+        assert got == _verify_by_brackets(Ls, rd, cand), name
+        verdicts.append((name, got))
+    assert verdicts[0] == ("unchanged", (True, None))
+    assert verdicts[-1] == ("singular", (
+        False, "candidate basis does not span the algebra"))
+    assert not any(ok for _, (ok, _w) in verdicts[1:])
+
+
+@pytest.mark.parametrize("t,p,e,r", [
+    ("A2", 5, 1, 1), ("B2", 7, 1, 1), ("G2", 5, 1, 1), ("B3", 7, 1, 1),
+    ("A2", 5, 1, 2),
+])
+def test_verify_matches_bracket_oracle_on_corrupted_tensor(t, p, e, r):
+    # one corrupted structure constant of the standard algebra fails one
+    # slice [b_i, b_j], so the full grid's witnesses are reached too; the
+    # slices [h_i, e_r] are not checked and leave the verdict True
+    rd = rd_of(t)
+    L = from_root_datum(rd, tower(p, e), r, check="none")
+    n, N = rd.n, rd.num_roots
+    rng = random.Random(f"{t}:{p}:{e}:{r}")
+    root = rng.randrange(N)
+    slices = [(rng.randrange(n), rng.randrange(n)),
+              (n + rng.randrange(N), rng.randrange(n)),
+              (rng.randrange(n), n + rng.randrange(N)),
+              (n + rd.neg(root), n + root)]
+    slices += [(rng.randrange(L.dim), rng.randrange(L.dim))
+               for _ in range(8)]
+    ident = Mat.identity(L.level, L.dim)
+    for i, j in slices:
+        planes = L.tensor.copy()
+        k = rng.randrange(L.dim)
+        planes[0, i, j, k] = (planes[0, i, j, k] + 1) % p
+        Lc = liealg.LieAlgebraFq(L.level, planes, check="none")
+        cand = liealg.ChevalleyBasisFq(
+            Lc, rd, ident.take_rows(range(n)),
+            ident.take_rows(range(n, L.dim)))
+        got = verify_chevalley_basis(Lc, rd, cand)
+        assert got == _verify_by_brackets(Lc, rd, cand), (i, j, k)
+
+
 def test_random_inner_automorphism_properties():
     rd = rd_of("A1")
     L = from_root_datum(rd, tower(7))
