@@ -172,15 +172,14 @@ def cmd_chevalley(args):
                 L = liealg.scramble_basis(L, P)
     budgets = liealg.Budgets(toral_factor=args.toral_factor,
                              split_factor=args.split_factor)
+    # returns only a basis that passed verify_chevalley_basis, else raises
     basis = liealg.standard_chevalley_basis(L, rd, rng, budgets=budgets)
-    ok, witness = liealg.verify_chevalley_basis(L, rd, basis)
     payload = {"type": args.type, "lattice": args.lattice,
-               "verdict": ok, "witness": witness,
+               "verdict": True, "witness": None,
                "basis": basis.to_json()}
     _emit(args, payload,
-          f"chevalley basis for {args.type} ({args.lattice}): verdict = "
-          f"{ok}")
-    return 0 if ok else 4
+          f"chevalley basis for {args.type} ({args.lattice}): verdict = True")
+    return 0
 
 
 # ---------------------------------------------------------------------------

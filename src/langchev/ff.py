@@ -197,6 +197,9 @@ class Level:
                     cur = [(cur[i] + top * red[0][i]) % p for i in range(m)]
                 red.append(cur)
         self.red = np.array(red, dtype=np.int64).reshape(max(m - 1, 0), m)
+        # fold[i*m + j] = coeffs of zeta^(i+j): folds all plane pairs at once
+        powers = np.vstack([np.eye(m, dtype=np.int64), self.red])
+        self.fold = powers[np.add.outer(np.arange(m), np.arange(m)).ravel()]
         # matrix of x -> x^p (GF(p)-linear), rows act on coefficient rows
         zp = _gfp_powmod([0, 1], p, list(defpoly), p)
         rows = [[1] + [0] * (m - 1)]

@@ -490,18 +490,17 @@ def _solve_form_group(instance, rng):
     return verify(instance, a, strict=True)
 
 
-def solve_torus(tower, c, r=None, s=None, rng=None, order_cap=10 ** 6):
+def solve_torus(instance, rng):
     """Componentwise GL_1 solution for a split torus instance."""
-    import random as _random
-    rng = rng or _random.Random(0)
-    instance = LangInstance(kind="Torus", tower=tower, c=list(c), r=r, s=s,
-                            order_cap=order_cap)
+    if instance.kind != "Torus":
+        raise InputError("solve_torus needs a Torus instance")
+    tower = instance.tower
     rs = tower.extend(instance.rs)
     out = []
     for ci in instance.c:
         comp = LangInstance(kind="GL", tower=tower,
                             c=Mat.diagonal(ci.level, [ci]),
-                            order_cap=order_cap)
+                            order_cap=instance.order_cap)
         _, a = f_eigenspace_lv(comp, rng)
         out.append(a.embed(rs).entry(0, 0))
     return verify(instance, out, strict=True)
@@ -518,8 +517,7 @@ def solve(instance, rng):
     if instance.kind == "SO":
         return solve_so(instance, rng)
     if instance.kind == "Torus":
-        return solve_torus(instance.tower, instance.c, instance.r,
-                           instance.s, rng, instance.order_cap)
+        return solve_torus(instance, rng)
     raise InputError(f"unknown kind {instance.kind!r}")
 
 

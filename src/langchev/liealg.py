@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, InputError, RecognitionError
 from .ff import FqElement
-from .linalg import Mat, _reduce_planes, factor
+from .linalg import Mat, _planes_matmul, _reduce_planes, factor
 
 log = logging.getLogger(__name__)
 
@@ -141,21 +141,9 @@ class LieAlgebraFq:
 
     def ad(self, x):
         """Matrix A with y @ A = [y, x] for a row vector x (1 x d Mat)."""
-        level = self.level
-        m, d = level.m, self.dim
-        out = np.zeros((2 * m - 1, d, d), dtype=np.int64)
-        xp = x.planes[:, 0, :]
-        for a in range(m):
-            xa = xp[a]
-            if not xa.any():
-                continue
-            for b in range(m):
-                Tb = self.tensor[b]
-                if not Tb.any():
-                    continue
-                out[a + b] += np.tensordot(xa, Tb, axes=([0], [1]))
-                out[a + b] %= level.p
-        return Mat(level, _reduce_planes(out, level))
+        level, d = self.level, self.dim
+        prod = _planes_matmul(x.planes, self.ad_rep_matrix().planes, level)
+        return Mat(level, prod.reshape(level.m, d, d))
 
     def ad_rep_matrix(self):
         """d x d^2 matrix R with row i = vec(ad(b_i)); y @ R = vec(ad(y))."""
@@ -1127,9 +1115,10 @@ def verify_chevalley_basis(L, rd, basis):
     violated relation).
     """
     P = basis.stacked()
-    if P.nrows != P.ncols or P.try_inverse() is None:
+    Pinv = P.try_inverse() if P.nrows == P.ncols else None
+    if Pinv is None:
         return False, "candidate basis does not span the algebra"
-    got = scramble_basis(L, P).tensor
+    got = _transport(L, P, Pinv)
     want = from_root_datum(rd, L.level.tower, L.level.r, check="none").tensor
     # bad[i, j] is set where [b_i, b_j] differs from the reference
     bad = (got != want).any(axis=(0, 3))
@@ -1202,12 +1191,15 @@ def scramble_basis(L, P, check=False):
     Transporting a Lie bracket along an invertible change of basis always
     yields a Lie algebra, so no Jacobi re-check is needed by default.
     """
-    Pinv = P.inverse()
-    level = L.level
-    d = L.dim
-    planes = np.zeros((level.m, d, d, d), dtype=np.int64)
-    for j in range(d):
-        prods = P @ L.ad(P.row(j)) @ Pinv
-        planes[:, :, j, :] = prods.planes
-    return LieAlgebraFq(level, planes, rd=None,
+    return LieAlgebraFq(L.level, _transport(L, P, P.inverse()), rd=None,
                         check="full" if check else "none")
+
+
+def _transport(L, P, Pinv):
+    """Structure tensor planes of L's bracket in the basis given by the
+    rows of P, whose inverse the caller supplies."""
+    d = L.dim
+    planes = np.zeros((L.level.m, d, d, d), dtype=np.int64)
+    for j in range(d):
+        planes[:, :, j, :] = (P @ L.ad(P.row(j)) @ Pinv).planes
+    return planes

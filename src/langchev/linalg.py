@@ -38,6 +38,38 @@ def _reduce_planes(planes, level):
     return planes % level.p
 
 
+def _planes_matmul(a, b, level):
+    """Field product of plane stacks: (m, r, n) @ (m, n, c) -> (m, r, c).
+
+    One int64 matmul forms every plane product a_i @ b_j side by side; the
+    level's fold table then sends pair (i, j) to the coefficients of
+    zeta^(i+j) in one more matmul.  The largest sum either step
+    accumulates is max(n, m^2) (p-1)^2, which must stay below 2^63.
+    """
+    m, p = level.m, level.p
+    _, r, n = a.shape
+    c = b.shape[2]
+    bound = max(n, m * m) * (p - 1) ** 2
+    if bound >= 1 << 63:
+        raise InputError(
+            f"p = {p} is too large for exact int64 products here: "
+            f"max(n, m^2) (p-1)^2 = {bound} reaches 2^63")
+    if m == 1:
+        return (a[0] @ b[0] % p)[None]
+    pairs = a.reshape(m * r, n) @ b.transpose(1, 0, 2).reshape(n, m * c) % p
+    pairs = pairs.reshape(m, r, m, c).transpose(0, 2, 1, 3).reshape(
+        m * m, r * c)
+    return (level.fold.T @ pairs % p).reshape(m, r, c)
+
+
+def _planes_scale(coeffs, planes, level):
+    """Every entry of a plane stack times the field element coeffs."""
+    m = level.m
+    s = np.asarray(coeffs, dtype=np.int64).reshape(m, 1, 1)
+    flat = planes.reshape(m, 1, planes.size // m)
+    return _planes_matmul(s, flat, level).reshape(planes.shape)
+
+
 class Mat:
     """Dense exact matrix over one tower level."""
 
@@ -133,32 +165,14 @@ class Mat:
             raise InputError(
                 f"dimension mismatch {a.nrows}x{a.ncols} @ "
                 f"{b.nrows}x{b.ncols}")
-        level = a.level
-        m = level.m
-        out = np.zeros((2 * m - 1, a.nrows, b.ncols), dtype=np.int64)
-        for i in range(m):
-            ai = a.planes[i]
-            if not ai.any():
-                continue
-            for j in range(m):
-                bj = b.planes[j]
-                if not bj.any():
-                    continue
-                out[i + j] += ai @ bj
-                out[i + j] %= level.p
-        return Mat(level, _reduce_planes(out, level))
+        return Mat(a.level, _planes_matmul(a.planes, b.planes, a.level))
 
     def __mul__(self, scalar):
         """Scalar multiplication by an FqElement or int (ring coercion)."""
         level = self.level
         e = level.scalar(scalar) if isinstance(scalar, (int, np.integer)) \
             else level.element(scalar)
-        m = level.m
-        out = np.zeros((2 * m - 1,) + self.planes.shape[1:], dtype=np.int64)
-        for i, c in enumerate(e.coeffs):
-            if c:
-                out[i:i + m] += c * self.planes
-        return Mat(level, _reduce_planes(out, level))
+        return Mat(level, _planes_scale(e.coeffs, self.planes, level))
 
     __rmul__ = __mul__
 
@@ -257,7 +271,6 @@ class Mat:
         """Reduced row echelon form; returns (R, pivot column list)."""
         R = self.copy()
         level = self.level
-        m, p = level.m, level.p
         planes = R.planes
         pivots = []
         rank = 0
@@ -271,8 +284,8 @@ class Mat:
             if pr != rank:
                 planes[:, [rank, pr], :] = planes[:, [pr, rank], :]
             piv = FqElement(level, tuple(int(c) for c in planes[:, rank, col]))
-            inv = piv.inverse()
-            _scale_row(planes, rank, inv.coeffs, level)
+            planes[:, rank, :] = _planes_scale(piv.inverse().coeffs,
+                                               planes[:, rank, :], level)
             _eliminate_col(planes, rank, col, level)
             pivots.append(col)
             rank += 1
@@ -347,8 +360,8 @@ class Mat:
                 sign_flip ^= 1
             piv = FqElement(level, tuple(int(c) for c in planes[:, col, col]))
             acc = acc * piv
-            inv = piv.inverse()
-            _scale_row(planes, col, inv.coeffs, level)
+            planes[:, col, :] = _planes_scale(piv.inverse().coeffs,
+                                              planes[:, col, :], level)
             _eliminate_col(planes, col, col, level, below_only=True)
         if sign_flip:
             acc = -acc
@@ -359,6 +372,7 @@ class Mat:
         if self.nrows != self.ncols:
             raise InputError("charpoly needs a square matrix")
         level = self.level
+        p = level.p
         n = self.nrows
         H = self.copy()
         planes = H.planes
@@ -372,12 +386,15 @@ class Mat:
                 planes[:, :, [j + 1, pr]] = planes[:, :, [pr, j + 1]]
             piv = FqElement(level,
                             tuple(int(c) for c in planes[:, j + 1, j]))
-            inv = piv.inverse()
-            # factors for rows j+2.. ; rows -= f x row_{j+1}; col_{j+1} += cols @ f
-            fcol = _field_scale_vec(planes[:, j + 2:, j], inv.coeffs, level)
-            _row_update(planes, j + 2, fcol, planes[:, j + 1, :].copy(),
-                        level)
-            _col_update(planes, j + 1, j + 2, fcol, level)
+            # factors f for rows j+2..: rows -= f (x) row_{j+1}, then the
+            # similarity's column step col_{j+1} += cols_{j+2..} @ f
+            fcol = _planes_scale(piv.inverse().coeffs,
+                                 planes[:, j + 2:, j], level)[:, :, None]
+            planes[:, j + 2:, :] = (planes[:, j + 2:, :] - _planes_matmul(
+                fcol, planes[:, j + 1:j + 2, :], level)) % p
+            planes[:, :, j + 1:j + 2] = (
+                planes[:, :, j + 1:j + 2]
+                + _planes_matmul(planes[:, :, j + 2:], fcol, level)) % p
         # recurrence over leading principal minors of the Hessenberg form
         one, zero = level.one, level.zero
         polys = [[one]]
@@ -406,76 +423,8 @@ class Mat:
         return rad.eval_mat(self).is_zero()
 
 
-def _scale_row(planes, i, coeffs, level):
-    m = level.m
-    row = planes[:, i, :]
-    out = np.zeros((2 * m - 1, row.shape[1]), dtype=np.int64)
-    for a, c in enumerate(coeffs):
-        if c:
-            out[a:a + m] += c * row
-    out %= level.p
-    if m > 1:
-        out[:m] += np.einsum("j...,jk->k...", out[m:], level.red)
-    planes[:, i, :] = out[:m] % level.p
-
-
-def _field_scale_vec(colplanes, coeffs, level):
-    """Multiply a plane-stacked column vector by a scalar's coefficients."""
-    m = level.m
-    out = np.zeros((2 * m - 1, colplanes.shape[1]), dtype=np.int64)
-    for a, c in enumerate(coeffs):
-        if c:
-            out[a:a + m] += c * colplanes
-    out %= level.p
-    if m > 1:
-        out[:m] += np.einsum("j...,jk->k...", out[m:], level.red)
-    return out[:m] % level.p
-
-
-def _row_update(planes, start, fcol, prow, level):
-    """rows[start:] -= fcol (x) prow, in field arithmetic."""
-    m = level.m
-    if not fcol.any():
-        return
-    out = np.zeros((2 * m - 1, fcol.shape[1], prow.shape[1]),
-                   dtype=np.int64)
-    for i in range(m):
-        fi = fcol[i]
-        if not fi.any():
-            continue
-        for j in range(m):
-            pj = prow[j]
-            if not pj.any():
-                continue
-            out[i + j] += np.multiply.outer(fi, pj)
-            out[i + j] %= level.p
-    red = _reduce_planes(out, level)
-    planes[:, start:, :] -= red
-    planes[:, start:, :] %= level.p
-
-
-def _col_update(planes, target, start, fcol, level):
-    """col[target] += cols[start:] @ fcol, in field arithmetic."""
-    m = level.m
-    if not fcol.any():
-        return
-    cols = planes[:, :, start:]
-    out = np.zeros((2 * m - 1, planes.shape[1]), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            fj = fcol[j]
-            if not fj.any():
-                continue
-            out[i + j] += cols[i] @ fj
-            out[i + j] %= level.p
-    red = _reduce_planes(out, level)
-    planes[:, :, target] += red
-    planes[:, :, target] %= level.p
-
-
 def _eliminate_col(planes, prow, col, level, below_only=False):
     """Clear column col against the (already normalized) pivot row."""
-    m = level.m
     mask = planes[:, :, col].any(axis=0)
     mask[prow] = False
     if below_only:
@@ -483,22 +432,9 @@ def _eliminate_col(planes, prow, col, level, below_only=False):
     rows = np.nonzero(mask)[0]
     if rows.size == 0:
         return
-    fcol = planes[:, rows, col].copy()
-    pr = planes[:, prow, :].copy()
-    out = np.zeros((2 * m - 1, len(rows), pr.shape[1]), dtype=np.int64)
-    for i in range(m):
-        fi = fcol[i]
-        if not fi.any():
-            continue
-        for j in range(m):
-            pj = pr[j]
-            if not pj.any():
-                continue
-            out[i + j] += np.multiply.outer(fi, pj)
-            out[i + j] %= level.p
-    red = _reduce_planes(out, level)
-    planes[:, rows, :] -= red
-    planes[:, rows, :] %= level.p
+    upd = _planes_matmul(planes[:, rows, col][:, :, None],
+                         planes[:, prow:prow + 1, :], level)
+    planes[:, rows, :] = (planes[:, rows, :] - upd) % level.p
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +544,8 @@ class PolyFq:
     __rmul__ = __mul__
 
     def scale(self, s):
-        level = self.level
-        m = level.m
-        out = np.zeros((2 * m - 1, self.planes.shape[1]), dtype=np.int64)
-        for a, c in enumerate(s.coeffs):
-            if c:
-                out[a:a + m] += c * self.planes
-        out %= level.p
-        return PolyFq(level, _reduce_planes(out, level))
+        return PolyFq(self.level,
+                      _planes_scale(s.coeffs, self.planes, self.level))
 
     def shift(self, k):
         """Multiply by X^k."""
@@ -646,15 +576,8 @@ class PolyFq:
             if not c.any():
                 continue
             qpl[:, k - dg] = c
-            # rem[k-dg : k+1] -= c * g  (field product, plane convolution)
-            upd = np.zeros((2 * m - 1, dg + 1), dtype=np.int64)
-            for a in range(m):
-                if c[a]:
-                    upd[a:a + m] += c[a] * g
-            if m > 1:
-                upd[:m] += np.einsum("j...,jk->k...", upd[m:] % p,
-                                     level.red)
-            rem[:, k - dg:k + 1] = (rem[:, k - dg:k + 1] - upd[:m]) % p
+            rem[:, k - dg:k + 1] = (rem[:, k - dg:k + 1]
+                                    - _planes_scale(c, g, level)) % p
         quot = PolyFq(level, qpl)
         if not monic:
             quot = quot.scale(lead.inverse())

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -81,6 +82,26 @@ def test_chevalley_scramble_roundtrip():
                      "5", "--seed", "1"])
     assert code == 0
     assert json.loads(out)["verdict"] is True
+
+
+def test_chevalley_json_pinned_for_fixed_seed():
+    # sha256 of the whole JSON line; B2 over GF(25) runs the m = 2 kernel
+    code, out = run(["chevalley", "--type", "B2", "--p", "5", "--e", "2",
+                     "--scramble", "1", "--seed", "7"])
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
+    assert json.loads(out)["witness"] is None
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "22acb984a12cbcba23ceb71e60773c544c5ed04869427ebe9c69e3520d4e7cca")
+
+
+def test_lang_prime_past_word_size_is_input_error(capsys):
+    # (p-1)^2 >= 2^63: no int64 product over this field is exact
+    code, out = run(["lang", "--group", "GL", "--p", "4294967311", "--c",
+                     "[[2,3],[5,7]]"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "4294967311" in err and "Traceback" not in err
 
 
 def test_chevalley_char_guard():

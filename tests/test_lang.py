@@ -293,16 +293,38 @@ def test_so_rejects_det_minus_one():
 def test_solve_torus():
     t = tower(3)
     one = t.level(1).one
-    cert = solve_torus(t, [one, one], rng=random.Random(0))
+    cert = solve_torus(LangInstance(kind="Torus", tower=t, c=[one, one]),
+                       random.Random(0))
     assert cert.ok
     two = t.level(1).scalar(2)
-    cert = solve_torus(t, [two], rng=random.Random(0))
+    cert = solve_torus(LangInstance(kind="Torus", tower=t, c=[two]),
+                       random.Random(0))
     assert cert.ok
     a = cert.a[0]
     assert a * a == a.level.scalar(2)
     # componentwise independence: permuting c permutes the solutions' levels
-    cert2 = solve_torus(t, [one, two], rng=random.Random(1))
+    cert2 = solve_torus(LangInstance(kind="Torus", tower=t, c=[one, two]),
+                        random.Random(1))
     assert cert2.ok
+
+
+def test_solve_torus_trusts_the_dispatched_instance(monkeypatch):
+    t = tower(5)
+    lvl = t.level(t.extend(2))
+    c = [lvl.element([1, 2]), lvl.element([3, 1])]
+    s = LangInstance(kind="Torus", tower=t, c=c, r=2).s
+    inst = LangInstance(kind="Torus", tower=t, c=c, r=2, s=s, trust_s=True)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return norm_and_order(*args, **kwargs)
+
+    monkeypatch.setattr(lang, "norm_and_order", counting)
+    cert = solve(inst, random.Random(3))
+    assert cert.ok and cert.s == s
+    # one norm order per GL_1 component; the trusted s is not recomputed
+    assert len(calls) == len(c)
 
 
 def test_solve_dispatch_uses_rng_for_torus():
