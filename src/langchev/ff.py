@@ -6,7 +6,10 @@ degree r over k; level r is the field k_r = GF(q^r), represented absolutely
 as GF(p)[X]/(f_r) for a monic irreducible f_r of degree e*r.  Defining
 polynomials are chosen deterministically (first irreducible in a fixed
 enumeration), and embeddings between divisor-related levels are computed once
-and kept mutually coherent, so towers are reproducible across runs.
+and kept mutually coherent, so towers are reproducible across runs.  An
+embedding k_s -> k_t sends the root of f_s to a root of f_s in k_t; the roots
+are the linear factors that ``linalg.factor`` finds for f_s over k_t, and the
+smallest coherent one is chosen, so the choice does not depend on the RNG.
 
 Elements (:class:`FqElement`) store their GF(p) coefficient vector
 little-endian in the chosen root of the level's defining polynomial.  All
@@ -197,9 +200,11 @@ class Level:
                     cur = [(cur[i] + top * red[0][i]) % p for i in range(m)]
                 red.append(cur)
         self.red = np.array(red, dtype=np.int64).reshape(max(m - 1, 0), m)
+        # powers[k] = coeffs of zeta^k for k < 2m - 1, and
         # fold[i*m + j] = coeffs of zeta^(i+j): folds all plane pairs at once
-        powers = np.vstack([np.eye(m, dtype=np.int64), self.red])
-        self.fold = powers[np.add.outer(np.arange(m), np.arange(m)).ravel()]
+        self.powers = np.vstack([np.eye(m, dtype=np.int64), self.red])
+        self.fold = self.powers[
+            np.add.outer(np.arange(m), np.arange(m)).ravel()]
         # matrix of x -> x^p (GF(p)-linear), rows act on coefficient rows
         zp = _gfp_powmod([0, 1], p, list(defpoly), p)
         rows = [[1] + [0] * (m - 1)]
@@ -316,12 +321,10 @@ def _poly_mul_reduce(a, b, level):
     p, m = level.p, level.m
     if m == 1:
         return ((a[0] * b[0]) % p,)
+    # reduce before the fold: its sums then stay below m (p-1)^2
     conv = np.convolve(np.asarray(a, dtype=np.int64),
-                       np.asarray(b, dtype=np.int64))
-    out = conv[:m]
-    if conv.shape[0] > m:
-        out = out + conv[m:] @ level.red[:conv.shape[0] - m]
-    return tuple(int(c) for c in out % p)
+                       np.asarray(b, dtype=np.int64)) % p
+    return tuple((conv @ level.powers % p).tolist())
 
 
 def _coeffs_pow(coeffs, n, level):
@@ -580,138 +583,12 @@ class FieldTower:
 
     def _roots_in_level(self, poly_gfp, level):
         """All roots, as coefficient tuples, of a GF(p) polynomial that
-        splits completely in the given level."""
-        g = [level.element(int(c) % self.p).coeffs for c in poly_gfp]
-        root = self._find_one_root(list(g), level)
-        # remaining roots form the orbit under x -> x^p
-        roots = [root]
-        cur = root
-        for _ in range(len(poly_gfp) - 2):
-            cur = _coeffs_pow(cur, self.p, level)
-            if cur == root:
-                break
-            roots.append(cur)
-        return roots
-
-    # minimal scalar polynomial helpers over a level (coefficient tuples)
-
-    @staticmethod
-    def _lp_trim(f, level):
-        zero = level.zero.coeffs
-        while f and f[-1] == zero:
-            f.pop()
-        return f
-
-    @classmethod
-    def _lp_mulmod(cls, a, b, f, level):
-        if not a or not b:
-            return []
-        out = [level.zero.coeffs] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if any(ai):
-                for j, bj in enumerate(b):
-                    prod = _poly_mul_reduce(ai, bj, level)
-                    out[i + j] = tuple(
-                        (x + y) % level.p for x, y in zip(out[i + j], prod))
-        return cls._lp_mod(out, f, level)
-
-    @classmethod
-    def _lp_mod(cls, a, f, level):
-        a = cls._lp_trim(list(a), level)
-        df = len(f) - 1
-        lead_inv = FqElement(level, f[-1]).inverse().coeffs
-        while len(a) - 1 >= df and a:
-            c = _poly_mul_reduce(a[-1], lead_inv, level)
-            shift = len(a) - 1 - df
-            for i in range(df + 1):
-                sub = _poly_mul_reduce(c, f[i], level)
-                a[shift + i] = tuple(
-                    (x - y) % level.p for x, y in zip(a[shift + i], sub))
-            a = cls._lp_trim(a, level)
-        return a
-
-    @classmethod
-    def _lp_gcd(cls, a, b, level):
-        a = cls._lp_trim(list(a), level)
-        b = cls._lp_trim(list(b), level)
-        while b:
-            a, b = b, cls._lp_mod(a, b, level)
-        if a:
-            inv = FqElement(level, a[-1]).inverse().coeffs
-            a = [_poly_mul_reduce(c, inv, level) for c in a]
-        return a
-
-    @classmethod
-    def _lp_powmod(cls, a, n, f, level):
-        one = (1,) + (0,) * (level.m - 1)
-        result = [one]
-        base = cls._lp_mod(list(a), f, level)
-        while n:
-            if n & 1:
-                result = cls._lp_mulmod(result, base, f, level)
-            base = cls._lp_mulmod(base, base, f, level)
-            n >>= 1
-        return result
-
-    def _find_one_root(self, g, level):
-        """One root of a monic squarefree polynomial splitting into linear
-        factors over the level (Cantor-Zassenhaus style splitting)."""
-        g = self._lp_trim(list(g), level)
-        inv = FqElement(level, g[-1]).inverse().coeffs
-        g = [_poly_mul_reduce(c, inv, level) for c in g]
-        one = (1,) + (0,) * (level.m - 1)
-        while len(g) - 1 > 1:
-            # random affine shift, then a splitting gcd
-            b = _int_to_coeffs(self._rng.randrange(level.order),
-                               level.p, level.m)
-            shifted = [b, one]
-            if self.p == 2:
-                acc = self._lp_mod(shifted, g, level)
-                tr = list(acc)
-                cur = acc
-                for _ in range(level.m * 1 - 1):
-                    cur = self._lp_mulmod(cur, cur, g, level)
-                    tr = self._lp_add(tr, cur, level)
-                h = self._lp_gcd(tr, g, level)
-            else:
-                powed = self._lp_powmod(shifted, (level.order - 1) // 2,
-                                        g, level)
-                powed = self._lp_add(powed, [tuple((-c) % level.p
-                                                   for c in one)], level)
-                h = self._lp_gcd(powed, g, level)
-            if 0 < len(h) - 1 < len(g) - 1:
-                other = self._lp_quot(g, h, level)
-                g = h if len(h) <= len(other) else other
-        # g = X - root
-        root = tuple((-c) % level.p for c in g[0])
-        return root
-
-    @classmethod
-    def _lp_add(cls, a, b, level):
-        n = max(len(a), len(b))
-        zero = level.zero.coeffs
-        a = list(a) + [zero] * (n - len(a))
-        b = list(b) + [zero] * (n - len(b))
-        return cls._lp_trim([
-            tuple((x + y) % level.p for x, y in zip(u, v))
-            for u, v in zip(a, b)], level)
-
-    @classmethod
-    def _lp_quot(cls, a, f, level):
-        a = cls._lp_trim(list(a), level)
-        df = len(f) - 1
-        lead_inv = FqElement(level, f[-1]).inverse().coeffs
-        quot = [level.zero.coeffs] * max(len(a) - df, 0)
-        while len(a) - 1 >= df and a:
-            c = _poly_mul_reduce(a[-1], lead_inv, level)
-            shift = len(a) - 1 - df
-            quot[shift] = c
-            for i in range(df + 1):
-                sub = _poly_mul_reduce(c, f[i], level)
-                a[shift + i] = tuple(
-                    (x - y) % level.p for x, y in zip(a[shift + i], sub))
-            a = cls._lp_trim(a, level)
-        return quot
+        splits completely in the given level: its linear factors there."""
+        from .linalg import PolyFq, factor
+        planes = np.zeros((level.m, len(poly_gfp)), dtype=np.int64)
+        planes[0] = poly_gfp
+        return [tuple(int(c) for c in (-g.planes[:, 0]) % self.p)
+                for g, _ in factor(PolyFq(level, planes), self._rng)]
 
 
 def make_tower(p, e=1):

@@ -526,20 +526,15 @@ class PolyFq:
         level = self.level
         if self.is_zero() or other.is_zero():
             return PolyFq.zero(level)
-        m = level.m
-        n = self.planes.shape[1] + other.planes.shape[1] - 1
-        out = np.zeros((2 * m - 1, n), dtype=np.int64)
-        for i in range(m):
-            ai = self.planes[i]
-            if not ai.any():
-                continue
-            for j in range(m):
-                bj = other.planes[j]
-                if not bj.any():
-                    continue
-                out[i + j] += np.convolve(ai, bj)
-                out[i + j] %= level.p
-        return PolyFq(level, _reduce_planes(out, level))
+        a, b = sorted((self.planes, other.planes), key=lambda t: t.shape[1])
+        m, k, nb = level.m, a.shape[1], b.shape[1]
+        n = k + nb - 1
+        # Toeplitz stack: row i is b shifted right by i.  Rows of length
+        # n + 1 holding b at their start, read back n wide.
+        rows = np.zeros((m, k, n + 1), dtype=np.int64)
+        rows[:, :, :nb] = b[:, None, :]
+        rows = rows.reshape(m, k * (n + 1))[:, :k * n].reshape(m, k, n)
+        return PolyFq(level, _planes_matmul(a[:, None, :], rows, level)[:, 0])
 
     __rmul__ = __mul__
 

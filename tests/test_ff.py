@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -118,13 +120,16 @@ def test_frobenius_is_field_automorphism():
         assert ff.frobenius(x * y) == ff.frobenius(x) * ff.frobenius(y)
 
 
-def test_embed_is_ring_hom_and_commutes_with_frobenius():
-    t = ff.make_tower(3, 2)
+@pytest.mark.parametrize("p, e", [(3, 2), (2, 2)])
+def test_embed_is_ring_hom_and_commutes_with_frobenius(p, e):
+    # at p = 2 the two roots of f_1 in k_2 share their absolute trace
+    t = ff.make_tower(p, e)
     t.extend(2)
+    order = t.level(1).order
     rng = random.Random(3)
     for _ in range(25):
-        x = t.element(1, rng.randrange(9))
-        y = t.element(1, rng.randrange(9))
+        x = t.element(1, rng.randrange(order))
+        y = t.element(1, rng.randrange(order))
         assert ff.embed(x + y, 2) == ff.embed(x, 2) + ff.embed(y, 2)
         assert ff.embed(x * y, 2) == ff.embed(x, 2) * ff.embed(y, 2)
         assert ff.embed(ff.frobenius(x), 2) == ff.frobenius(ff.embed(x, 2))
@@ -139,6 +144,35 @@ def test_embeddings_compose():
         via6 = ff.embed(ff.embed(x, 6), 12)
         direct = ff.embed(x, 12)
         assert via4 == direct == via6
+
+
+def test_tower_embeddings_pinned():
+    # sha256 of every defpoly, frob_p and embed_from matrix; the growth
+    # orders build 2 and 3 after their multiple 6, then 6 after both
+    h = hashlib.sha256()
+    for p in (3, 5, 7):
+        for e in (1, 2):
+            for growth in ((6, 2, 4, 3), (3, 2, 6, 4)):
+                t = ff.make_tower(p, e)
+                for r in growth:
+                    t.extend(r)
+                rec = [[r, list(lv.defpoly), lv.frob_p.tolist(),
+                        [[s, lv.embed_from[s].tolist()]
+                         for s in sorted(lv.embed_from)]]
+                       for r, lv in sorted(t.levels.items())]
+                h.update(json.dumps([p, e, rec]).encode())
+    assert h.hexdigest() == (
+        "bae13320bb25376808a1b51640e6dd7aa9ce35ec9b67a62095b344a702ec8517")
+
+
+def test_scalar_product_exact_at_large_prime():
+    # the unreduced convolution times the fold rows overflowed int64 here
+    p = 10 ** 9 + 7
+    level = ff.make_tower(p, 2).level(1)
+    assert level.defpoly == (1, 0, 1)
+    x = level.element([p - 1, p - 1])
+    y = level.element([p - 2, p - 3])
+    assert (x * y).coeffs == (p - 1, 5)
 
 
 def test_embedding_built_for_late_divisor():

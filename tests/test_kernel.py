@@ -1,8 +1,8 @@
 """Property tests for the plane-product kernel behind every field matrix
-product: ``Mat @``, ``Mat * scalar`` and ``PolyFq.scale`` against a
-pure-Python reference built from FqElement sums of products, on levels of
-absolute degree 1, 2, 3, 4, 6 and 12 and at one prime just under the int64
-exactness bound."""
+and polynomial product: ``Mat @``, ``Mat * scalar``, ``PolyFq.scale`` and
+``PolyFq * PolyFq`` against a pure-Python reference built from FqElement
+sums of products, on levels of absolute degree 1, 2, 3, 4, 6 and 12 and at
+one prime just under the int64 exactness bound."""
 
 import numpy as np
 import pytest
@@ -103,6 +103,29 @@ def test_scalar_and_poly_scale_match_reference(field, data):
     f = PolyFq(level, A.planes[:, 0, :].copy())
     want = PolyFq.from_coeffs(level, [c * s for c in f.coeffs()])
     assert f.scale(s) == want
+
+
+@PROPS
+@given(st.sampled_from(FIELDS + [(BIG_P, 1, 1)]), st.data())
+def test_poly_product_matches_reference(field, data):
+    level = level_of(*field)
+    f, g = (PolyFq(level, data.draw(planes(level, 1, data.draw(
+        st.integers(1, 4))))[:, 0]) for _ in range(2))
+    a, b = f.coeffs(), g.coeffs()
+    want = [level.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            want[i + j] = want[i + j] + x * y
+    assert f * g == PolyFq.from_coeffs(level, want)
+
+
+def test_poly_product_rejects_prime_past_word_size():
+    # three terms of (p-1)^2 reach 2^63 at this prime
+    p = 2147483647
+    level = level_of(p, 1, 1)
+    f = PolyFq.from_coeffs(level, [p - 1] * 3)
+    with pytest.raises(InputError, match=str(p)):
+        f * f
 
 
 def test_word_bound_is_exact_at_big_prime():
