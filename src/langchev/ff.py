@@ -8,8 +8,9 @@ polynomials are chosen deterministically (first irreducible in a fixed
 enumeration), and embeddings between divisor-related levels are computed once
 and kept mutually coherent, so towers are reproducible across runs.  An
 embedding k_s -> k_t sends the root of f_s to a root of f_s in k_t; the roots
-are the linear factors that ``linalg.factor`` finds for f_s over k_t, and the
-smallest coherent one is chosen, so the choice does not depend on the RNG.
+come from the linear factors of f_s over k_t, found by the equal-degree split
+of ``linalg``, and the smallest coherent one is chosen, so the choice does not
+depend on the RNG.
 
 Elements (:class:`FqElement`) store their GF(p) coefficient vector
 little-endian in the chosen root of the level's defining polynomial.  All
@@ -199,10 +200,11 @@ class Level:
                 if top:
                     cur = [(cur[i] + top * red[0][i]) % p for i in range(m)]
                 red.append(cur)
-        self.red = np.array(red, dtype=np.int64).reshape(max(m - 1, 0), m)
         # powers[k] = coeffs of zeta^k for k < 2m - 1, and
         # fold[i*m + j] = coeffs of zeta^(i+j): folds all plane pairs at once
-        self.powers = np.vstack([np.eye(m, dtype=np.int64), self.red])
+        self.powers = np.vstack([
+            np.eye(m, dtype=np.int64),
+            np.array(red, dtype=np.int64).reshape(max(m - 1, 0), m)])
         self.fold = self.powers[
             np.add.outer(np.arange(m), np.arange(m)).ravel()]
         # matrix of x -> x^p (GF(p)-linear), rows act on coefficient rows
@@ -582,13 +584,17 @@ class FieldTower:
         return np.array(rows, dtype=np.int64)
 
     def _roots_in_level(self, poly_gfp, level):
-        """All roots, as coefficient tuples, of a GF(p) polynomial that
-        splits completely in the given level: its linear factors there."""
-        from .linalg import PolyFq, factor
+        """All roots, as coefficient tuples in increasing integer encoding,
+        of a monic irreducible GF(p) polynomial that splits completely in
+        the given level.  Such a polynomial is squarefree, so its
+        equal-degree split into linear factors is its factorization."""
+        from .linalg import PolyFq, _equal_degree_split
         planes = np.zeros((level.m, len(poly_gfp)), dtype=np.int64)
         planes[0] = poly_gfp
-        return [tuple(int(c) for c in (-g.planes[:, 0]) % self.p)
-                for g, _ in factor(PolyFq(level, planes), self._rng)]
+        roots = [tuple(int(c) for c in (-g.monic().planes[:, 0]) % self.p)
+                 for g in _equal_degree_split(PolyFq(level, planes), 1,
+                                              self._rng)]
+        return sorted(roots, key=lambda z: _coeffs_to_int(z, self.p))
 
 
 def make_tower(p, e=1):

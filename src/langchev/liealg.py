@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, InputError, RecognitionError
 from .ff import FqElement
-from .linalg import Mat, _planes_matmul, _reduce_planes, factor
+from .linalg import Mat, _check_word_size, _planes_matmul, factor
 
 log = logging.getLogger(__name__)
 
@@ -57,7 +57,13 @@ class Budgets:
 
 class LieAlgebraFq:
     """Lie algebra given by a sparse-in-spirit structure tensor (stored as
-    dense coefficient planes) over one tower level."""
+    dense coefficient planes) over one tower level.
+
+    check="full" (the default) verifies antisymmetry and the Jacobi
+    identity on every triple of basis vectors and raises InputError if
+    either fails; check="none" trusts the tensor, for algebras derived from
+    one already checked.
+    """
 
     def __init__(self, level, tensor_planes, pmap=None, rd=None,
                  check="full"):
@@ -68,10 +74,11 @@ class LieAlgebraFq:
         self.rd = rd              # originating RootDatum, if any
         self._center = None
         self._ad_rep = None
-        if check != "none":
+        if check not in ("full", "none"):
+            raise InputError(f"check = {check!r} is not 'full' or 'none'")
+        if check == "full":
             self._check_antisymmetry()
-            self._check_jacobi(exhaustive=(self.dim <= 60
-                                           and check == "full"))
+            self._check_jacobi()
 
     # -- construction helpers ----------------------------------------------
 
@@ -101,41 +108,20 @@ class LieAlgebraFq:
         if self.tensor[:, range(d), range(d), :].any():
             raise InputError("structure tensor has [x,x] != 0")
 
-    def _check_jacobi(self, exhaustive=True, samples=100_000, seed=0):
-        m, d, p = self.level.m, self.dim, self.level.p
-        if exhaustive:
-            # sum over cyclic shifts of T[i,j,m] T[m,k,l]
-            acc = np.zeros((2 * m - 1, d, d, d, d), dtype=np.int64)
-            for a in range(m):
-                Ta = self.tensor[a]
-                if not Ta.any():
-                    continue
-                for b in range(m):
-                    Tb = self.tensor[b]
-                    if not Tb.any():
-                        continue
-                    prod = np.tensordot(Ta, Tb, axes=([2], [0]))  # i j k l
-                    acc[a + b] += prod
-                    acc[a + b] += prod.transpose(1, 2, 0, 3)
-                    acc[a + b] += prod.transpose(2, 0, 1, 3)
-                    acc[a + b] %= p
-            red = _reduce_planes(acc.reshape(2 * m - 1, d, d * d * d),
-                                 self.level)
-            if red.any():
-                raise InputError("Jacobi identity fails")
-        else:
-            import random as _random
-            rng = _random.Random(seed)
-            for _ in range(samples // max(1, d)):
-                i, j, k = (rng.randrange(d) for _ in range(3))
-                x = _unit(self, i)
-                y = _unit(self, j)
-                z = _unit(self, k)
-                s = bracket(self, bracket(self, x, y), z) \
-                    + bracket(self, bracket(self, y, z), x) \
-                    + bracket(self, bracket(self, z, x), y)
-                if not s.is_zero():
-                    raise InputError("Jacobi identity fails (sampled)")
+    def _check_jacobi(self):
+        """Every cyclic sum of [[b_i,b_j],b_k]_l = sum_n T[i,j,n] T[n,k,l]
+        over (i,j,k) is zero.  The nonzero pattern counts the products a
+        join on n would form; up to d^3 of them, the memory of one slab of
+        the dense route, the join runs, else the slab route (a dense tensor
+        would need about d^5)."""
+        d = self.dim
+        nz = np.nonzero(self.tensor.any(axis=0))
+        firsts = np.bincount(nz[0], minlength=d)
+        joined = int(np.bincount(nz[2], minlength=d) @ firsts)
+        ok = (_jacobi_join(self.tensor, self.level, nz, firsts)
+              if joined <= d ** 3 else _jacobi_slabs(self.tensor, self.level))
+        if not ok:
+            raise InputError("Jacobi identity fails")
 
     # -- core linear structure ----------------------------------------------
 
@@ -186,6 +172,47 @@ class LieAlgebraFq:
     def __repr__(self):
         return (f"LieAlgebraFq(dim={self.dim} @ "
                 f"{self.level.spec_string()})")
+
+
+def _jacobi_join(T, level, nz, firsts):
+    """Join the nonzeros T[i,j,n] (nz, in lexicographic order) with the
+    firsts[n] nonzeros T[n,k,l].  The cyclic sum at (i,j,k,l) is the one at
+    (k,i,j,l) and (j,k,i,l), so each product, reduced mod p and folded, is
+    filed under the smallest of the three keys.  A key sums at most 3d
+    residues, so only the products need the word-size check."""
+    _check_word_size(1, level)
+    m, d, p = level.m, T.shape[1], level.p
+    i, j, n = nz
+    reps = firsts[n]
+    left = np.repeat(np.arange(len(n)), reps)
+    if not len(left):
+        return True
+    ends = np.cumsum(reps)
+    right = np.repeat(np.cumsum(firsts)[n] - ends, reps) + np.arange(ends[-1])
+    a, b = T[:, i[left], j[left], n[left]], T[:, i[right], j[right], n[right]]
+    prods = (a[:, None] * b[None] % p).reshape(m * m, -1).T @ level.fold % p
+    i, j, k, l = i[left], j[left], j[right], n[right]
+    keys = np.minimum(np.minimum(((i * d + j) * d + k) * d + l,
+                                 ((k * d + i) * d + j) * d + l),
+                      ((j * d + k) * d + i) * d + l)
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return not (np.add.reduceat(prods[order], starts) % p).any()
+
+
+def _jacobi_slabs(T, level):
+    """Jacobi check of a dense tensor one output coordinate l at a time, in
+    O(d^3) memory: P[i,j,k] = [[b_i,b_j],b_k]_l for all (i,j,k) is one plane
+    product, and its cyclic sum is two transposes."""
+    m, d, p = level.m, T.shape[1], level.p
+    pairs = T.reshape(m, d * d, d)
+    for l in range(d):
+        P = _planes_matmul(pairs, T[:, :, :, l], level).reshape(m, d, d, d)
+        if ((P + P.transpose(0, 2, 3, 1) + P.transpose(0, 3, 1, 2))
+                % p).any():
+            return False
+    return True
 
 
 def _unit(L, i):

@@ -26,16 +26,16 @@ __all__ = [
 ]
 
 
-def _reduce_planes(planes, level):
-    """Fold coefficient planes of index >= m back below m, entries mod p."""
-    m = level.m
-    if planes.shape[0] > m:
-        extra = planes[m:]
-        planes = planes[:m].copy()
-        # red[j] holds the expansion of zeta^(m+j)
-        planes += np.einsum("j...,jk->k...", extra,
-                            level.red[:extra.shape[0]])
-    return planes % level.p
+def _check_word_size(n, level):
+    """Raise InputError unless max(n, m^2) (p-1)^2 < 2^63: the largest sum
+    of a product of inner dimension n followed by a fold through
+    `Level.fold`, each term a product of two residues mod p."""
+    p = level.p
+    bound = max(n, level.m ** 2) * (p - 1) ** 2
+    if bound >= 1 << 63:
+        raise InputError(
+            f"p = {p} is too large for exact int64 products here: "
+            f"max(n, m^2) (p-1)^2 = {bound} reaches 2^63")
 
 
 def _planes_matmul(a, b, level):
@@ -49,11 +49,7 @@ def _planes_matmul(a, b, level):
     m, p = level.m, level.p
     _, r, n = a.shape
     c = b.shape[2]
-    bound = max(n, m * m) * (p - 1) ** 2
-    if bound >= 1 << 63:
-        raise InputError(
-            f"p = {p} is too large for exact int64 products here: "
-            f"max(n, m^2) (p-1)^2 = {bound} reaches 2^63")
+    _check_word_size(n, level)
     if m == 1:
         return (a[0] @ b[0] % p)[None]
     pairs = a.reshape(m * r, n) @ b.transpose(1, 0, 2).reshape(n, m * c) % p

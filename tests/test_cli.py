@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 
 import pytest
 
@@ -209,6 +210,34 @@ def test_chevalley_bad_algebra_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     code, _ = run(["chevalley", "--type", "A1", "--algebra", str(path)])
+    assert code == 2
+
+
+def test_chevalley_dense_algebra_file(tmp_path):
+    # a scrambled B3 (d = 21, dense tensor) passes the exhaustive Jacobi
+    # check and is recognised; one corrupted bracket makes it an input error
+    L = liealg.from_root_datum(rootdata.build("B3"), ff.make_tower(7))
+    rng = random.Random(5)
+    while True:
+        P = liealg.Mat.random(L.level, L.dim, L.dim, rng)
+        if P.try_inverse() is not None:
+            break
+    data = liealg.scramble_basis(L, P).to_json()
+    path = tmp_path / "b3.json"
+    path.write_text(json.dumps(data))
+    code, out = run(["chevalley", "--type", "B3", "--algebra", str(path),
+                     "--seed", "1"])
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
+    i, j, k, _ = data["triples"][0]
+    for t in data["triples"]:
+        if t[:3] == [i, j, k]:
+            t[3] = [(t[3][0] + 1) % 7]
+        elif t[:3] == [j, i, k]:
+            t[3] = [(t[3][0] - 1) % 7]
+    path.write_text(json.dumps(data))
+    code, _ = run(["chevalley", "--type", "B3", "--algebra", str(path),
+                   "--seed", "1"])
     assert code == 2
 
 

@@ -1,5 +1,7 @@
 import random
+import time
 
+import numpy as np
 import pytest
 
 from langchev import ff, liealg, rootdata
@@ -87,7 +89,7 @@ def test_ad_h_diagonal_on_sl2():
 
 def test_center_examples():
     assert center(sl2(5)).dim == 0
-    L = from_root_datum(rd_of("A4"), tower(5), check="sample")
+    L = from_root_datum(rd_of("A4"), tower(5))
     assert center(L).dim == 1  # p = 5 divides rank + 1
     L7 = sl2(7)
     assert centralizer(L7, Subalgebra(L7, L7.full_space())).dim \
@@ -151,7 +153,6 @@ def test_maximal_toral_postcondition_sweep():
 
 def test_maximal_toral_on_abelian_algebra():
     # a torus: the 2-dim abelian algebra with zero bracket
-    import numpy as np
     lvl = tower(5).level(1)
     L = liealg.LieAlgebraFq(lvl, np.zeros((1, 2, 2, 2), dtype=np.int64))
     H = maximal_toral_subalgebra(L, random.Random(0))
@@ -497,7 +498,6 @@ def test_inner_scramble_leaves_tensor_invariant():
 
 
 def test_jacobi_check_rejects_bad_tensor():
-    import numpy as np
     lvl = tower(5).level(1)
     planes = np.zeros((1, 3, 3, 3), dtype=np.int64)
     # [b0,b1] = b0 and [b0,b2] = b2 with [b1,b2] = 0 violates Jacobi:
@@ -508,6 +508,132 @@ def test_jacobi_check_rejects_bad_tensor():
     planes[0, 2, 0, 2] = 4
     with pytest.raises(InputError):
         liealg.LieAlgebraFq(lvl, planes)
+
+
+def _jacobi_dense(T, level):
+    """Oracle: every cyclic sum of T[i,j,n] T[n,k,l], formed densely as a
+    (2m-1, d, d, d, d) array of plane products and folded by
+    `Level.powers`."""
+    m, d, p = level.m, T.shape[1], level.p
+    acc = np.zeros((2 * m - 1, d, d, d, d), dtype=np.int64)
+    for a in range(m):
+        for b in range(m):
+            prod = np.tensordot(T[a], T[b], axes=([2], [0])) % p
+            acc[a + b] += (prod + prod.transpose(1, 2, 0, 3)
+                           + prod.transpose(2, 0, 1, 3))
+            acc[a + b] %= p
+    return not (np.einsum("k...,kc->c...", acc, level.powers) % p).any()
+
+
+def _jacobi_verdict(T, level):
+    try:
+        liealg.LieAlgebraFq(level, T)
+    except InputError:
+        return False
+    return True
+
+
+def _corruptions(T, level, rng, count=6):
+    """Tensors that differ from T in one antisymmetric pair of constants,
+    half of them at a zero of T, so that only the Jacobi check decides."""
+    m, d, p = level.m, T.shape[1], level.p
+    nz = list(zip(*np.nonzero(T.any(axis=0))))
+    out = []
+    for c in range(count):
+        if c % 2 and nz:
+            i, j, k = nz[rng.randrange(len(nz))]
+        else:
+            i, j = rng.sample(range(d), 2)
+            k = rng.randrange(d)
+        bad = T.copy()
+        bad[rng.randrange(m), i, j, k] += rng.randrange(1, p)
+        bad[:, i, j, k] %= p
+        bad[:, j, i, k] = -bad[:, i, j, k] % p
+        out.append(bad)
+    return out
+
+
+ORACLE_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"]
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (5, 2)])
+@pytest.mark.parametrize("t", ORACLE_TYPES)
+def test_jacobi_matches_dense_oracle(t, p, e):
+    L = from_root_datum(rd_of(t), tower(p, e), check="none")
+    assert _jacobi_dense(L.tensor, L.level)
+    assert _jacobi_verdict(L.tensor, L.level)
+    rng = random.Random(f"{t}:{p}:{e}")
+    for bad in _corruptions(L.tensor, L.level, rng):
+        assert _jacobi_verdict(bad, L.level) == \
+            _jacobi_dense(bad, L.level), t
+
+
+def test_jacobi_dense_scramble_matches_oracle(monkeypatch):
+    L = from_root_datum(rd_of("B3"), tower(7), check="none")
+    rng = random.Random(3)
+    while True:
+        P = Mat.random(L.level, L.dim, L.dim, rng)
+        if P.try_inverse() is not None:
+            break
+    T = scramble_basis(L, P).tensor
+    assert np.count_nonzero(T) > L.dim ** 3 // 2
+    # a dense tensor takes the slab route: the join would form ~d^5 products
+    monkeypatch.setattr(liealg, "_jacobi_join", None)
+    assert _jacobi_dense(T, L.level)
+    assert _jacobi_verdict(T, L.level)
+    for bad in _corruptions(T, L.level, rng, count=4):
+        assert not _jacobi_dense(bad, L.level)
+        assert not _jacobi_verdict(bad, L.level)
+
+
+def test_jacobi_rejects_corruption_beyond_60():
+    L = from_root_datum(rd_of("E7"), tower(11), check="none")
+    assert L.dim == 133
+    T = L.tensor.copy()
+    # [e_a, e_b] for two roots whose sum is no root: make it nonzero
+    rd = L.rd
+    a, b = next((r, s) for r in range(rd.num_roots)
+                for s in range(rd.num_roots)
+                if s not in (r, rd.neg(r)) and rd.add_roots(r, s) is None)
+    i, j = rd.n + a, rd.n + b
+    T[0, i, j, 0], T[0, j, i, 0] = 1, 10
+    with pytest.raises(InputError, match="Jacobi"):
+        liealg.LieAlgebraFq(L.level, T)
+    # and flipping the sign of one nonzero constant
+    T = L.tensor.copy()
+    i, j, k = np.argwhere(T[0])[len(np.argwhere(T[0])) // 2]
+    T[0, i, j, k], T[0, j, i, k] = T[0, j, i, k], T[0, i, j, k]
+    with pytest.raises(InputError, match="Jacobi"):
+        liealg.LieAlgebraFq(L.level, T)
+
+
+def test_e7_build_with_checks_is_fast():
+    rd, tw = rd_of("E7"), tower(11)
+    t0 = time.perf_counter()
+    L = from_root_datum(rd, tw)
+    elapsed = time.perf_counter() - t0
+    assert L.dim == 133
+    assert elapsed < 1.0, f"E7/GF(11) checked build took {elapsed:.2f}s"
+
+
+def test_jacobi_word_size_bound():
+    # (p-1)^2 >= 2^63: the check refuses instead of wrapping
+    big = 4294967311
+    assert ff.is_prime(big)
+    with pytest.raises(InputError, match="2\\^63"):
+        from_root_datum(rd_of("A1"), ff.make_tower(big))
+    # the largest prime with (p-1)^2 < 2^63 still checks exactly
+    p = 3037000500
+    while not ff.is_prime(p):
+        p -= 1
+    assert (p - 1) ** 2 < 1 << 63
+    L = from_root_datum(rd_of("A1"), ff.make_tower(p))
+    assert L.dim == 3
+
+
+def test_check_values():
+    with pytest.raises(InputError):
+        from_root_datum(rd_of("A1"), tower(5), check="sample")
 
 
 def test_k2_root_pair_machinery():
