@@ -23,6 +23,7 @@ diagonal quadratic equation over a level.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -240,22 +241,32 @@ class Level:
                    for ell in fac):
                 gen = cand
                 break
-        # multiplication-by-gen matrix, then step through the cyclic group
-        mul_gen = np.array(
-            [_poly_mul_reduce(tuple(int(i == j) for i in range(m)), gen, self)
-             for j in range(m)], dtype=np.int64)
-        exp = [0] * (2 * units)
-        log = [0] * order
-        powers_of_p = [p ** i for i in range(m)]
-        cur = np.array(one, dtype=np.int64)
-        for i in range(units):
-            ci = int(sum(int(c) * w for c, w in zip(cur, powers_of_p)))
-            exp[i] = ci
-            exp[i + units] = ci
-            log[ci] = i
-            cur = cur @ mul_gen % p
-        self._exp = exp
-        self._log = log
+
+        def times(c):  # matrix of x -> x c, rows act on coefficient rows
+            return np.array(
+                [_poly_mul_reduce(tuple(int(i == j) for i in range(m)), c,
+                                  self) for j in range(m)], dtype=np.int64)
+
+        # gen^0 .. gen^(B-1) one step at a time, then each further block of
+        # B powers by one product with the matrix of x -> x gen^B
+        mul_gen = times(gen)
+        B = math.isqrt(units)
+        block = np.empty((B, m), dtype=np.int64)
+        block[0] = one
+        for i in range(1, B):
+            block[i] = block[i - 1] @ mul_gen % p
+        mul_block = times(tuple((block[-1] @ mul_gen % p).tolist()))
+        weights = p ** np.arange(m)
+        codes = [block @ weights]
+        for _ in range(-(-units // B) - 1):
+            block = block @ mul_block % p
+            codes.append(block @ weights)
+        codes = np.concatenate(codes)[:units]
+        log = np.zeros(order, dtype=np.int64)
+        log[codes] = np.arange(units)
+        exp = codes.tolist()
+        self._exp = exp + exp  # both halves share one int object per power
+        self._log = log.tolist()
 
     def frob_q_pow(self, i):
         i %= self.r

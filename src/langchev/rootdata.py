@@ -11,15 +11,16 @@ positive on extraspecial pairs and propagated through the Jacobi identity
 and the three-term cycle relation, so the table is deterministic.
 
 Weyl elements carry both the permutation of the roots and the integer matrix
-of their action on the cocharacter lattice Y.  Groups up to |W(E6)| are
-enumerated by a vectorized breadth-first closure; E7/E8 sit behind an
-explicit opt-in and stream through a stabilizer chain without materializing
-the element list.
+of their action on the cocharacter lattice Y.  Every enumeration of W streams
+through a stabilizer chain without materializing the element list, yielding
+only the root columns a statistic reads; groups larger than |W(E6)| sit
+behind an explicit opt-in.  The structure constant table is built the first
+time it is read, so the Weyl analytics never pay for it.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,8 @@ __all__ = [
 
 _CLASSICAL_MAX_RANK = 12
 _DESK_ENUM_LIMIT = 60_000  # |W(E6)| = 51840 is the largest default group
+_BLOCK_ROWS = 4096  # rows of the folded shallow-level table of a chain
+_ROOT_DTYPE = np.int16  # root indices in Weyl streams
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +214,6 @@ class RootDatum:
         self._halfnorm_of_root = [self._halfnorm(c) for c in self.coords]
         self._build_lattice_coords()
         self._build_extraspecial()
-        self._build_structure_constants()
-        self._weyl_cache = None
 
     # -- basic geometry ----------------------------------------------------
 
@@ -326,16 +327,23 @@ class RootDatum:
             else:
                 return m
 
+    @functools.cached_property
+    def _N(self):
+        """The structure constant table {(i, j): N_{alpha_i, alpha_j}},
+        built on first read and published whole, so a concurrent reader
+        never sees it partly filled."""
+        return self._build_structure_constants()
+
     def _build_structure_constants(self):
-        self._N = {}
+        N = {}
         npos = self.num_pos
         # positive pairs, by height of the sum
         for k in sorted(range(npos), key=lambda t: self._heights[t]):
             if k in self.simple_indices:
                 continue
             g, dl = self.extraspecial[k]
-            self._N[(g, dl)] = self._string_down(g, dl) + 1
-            self._N[(dl, g)] = -self._N[(g, dl)]
+            N[(g, dl)] = self._string_down(g, dl) + 1
+            N[(dl, g)] = -N[(g, dl)]
             for a in range(npos):
                 b = self.root_index(tuple(
                     x - y for x, y in zip(self.coords[k], self.coords[a])))
@@ -347,43 +355,46 @@ class RootDatum:
                 amg = self.root_index(tuple(
                     x - y for x, y in zip(self.coords[a], self.coords[g])))
                 if amg is not None:
-                    t += self._nval(a, self.neg(g)) * self._nval(amg, b)
+                    t += self._nval(N, a, self.neg(g)) \
+                        * self._nval(N, amg, b)
                 bmg = self.root_index(tuple(
                     x - y for x, y in zip(self.coords[b], self.coords[g])))
                 if bmg is not None:
-                    t += self._nval(b, self.neg(g)) * self._nval(a, bmg)
-                den = self._nval(k, self.neg(g))
+                    t += self._nval(N, b, self.neg(g)) \
+                        * self._nval(N, a, bmg)
+                den = self._nval(N, k, self.neg(g))
                 assert den != 0 and t % den == 0
                 n = t // den
                 assert n != 0
-                self._N[(a, b)] = n
-                self._N[(b, a)] = -n
+                N[(a, b)] = n
+                N[(b, a)] = -n
         # fill the complete table
         for i in range(self.num_roots):
             for j in range(self.num_roots):
                 if j == self.neg(i) or i == j:
                     continue
                 if self.add_roots(i, j) is not None:
-                    v = self._nval(i, j)
-                    self._N[(i, j)] = v
+                    v = self._nval(N, i, j)
                     expected = self._string_down(i, j) + 1
                     assert abs(v) == expected, \
                         f"|N| mismatch at {i},{j}: {v} vs {expected}"
+        return N
 
-    def _nval(self, i, j):
-        """N_{alpha_i, alpha_j} via stored positives, negation symmetry,
-        and the cycle relation."""
+    def _nval(self, N, i, j):
+        """N_{alpha_i, alpha_j} from the partial table N via stored
+        positives, negation symmetry, and the cycle relation; memoized in
+        N."""
         k = self.add_roots(i, j)
         if k is None:
             return 0
-        got = self._N.get((i, j))
+        got = N.get((i, j))
         if got is not None:
             return got
         npos = self.num_pos
         if i >= npos and j >= npos:
-            v = -self._nval(self.neg(i), self.neg(j))
+            v = -self._nval(N, self.neg(i), self.neg(j))
         elif i >= npos:  # mixed with first negative: antisymmetry first
-            v = -self._nval(j, i)
+            v = -self._nval(N, j, i)
         else:
             # i positive, j negative; z = -(i + j)
             z = self.neg(k)
@@ -392,15 +403,15 @@ class RootDatum:
             dz = self._halfnorm_of_root[z]
             if k < npos:
                 # (j, z) both negative: N(i,j)/ (z,z) = N(j,z)/(i,i)
-                num = self._nval(j, z) * dz
+                num = self._nval(N, j, z) * dz
                 assert num % di == 0
                 v = num // di
             else:
                 # (z, i) both positive: N(i,j)/(z,z) = N(z,i)/(j,j)
-                num = self._nval(z, i) * dz
+                num = self._nval(N, z, i) * dz
                 assert num % dj == 0
                 v = num // dj
-        self._N[(i, j)] = v
+        N[(i, j)] = v
         return v
 
     def structure_constant_by_index(self, i, j):
@@ -452,55 +463,27 @@ class RootDatum:
         return max(self.degrees())
 
     def weyl_elements_array(self, allow_large=False):
-        """All Weyl elements as an array of root permutations (BFS)."""
-        if self._weyl_cache is not None:
-            return self._weyl_cache
+        """All Weyl elements as an array of root permutations."""
+        return np.concatenate(list(self.iter_weyl_chunks(allow_large)))
+
+    def iter_weyl_chunks(self, allow_large=False, columns=None):
+        """Yield arrays of root permutations covering W exactly once,
+        restricted to the root indices ``columns`` (all roots by default):
+        row w of a chunk holds w(alpha_c) for c in ``columns``.
+
+        Streams through a stabilizer chain; no full element list is held.
+        """
         order = self.weyl_order()
         if order > _DESK_ENUM_LIMIT and not allow_large:
             raise EnumerationGate(
                 f"|W| = {order} exceeds the desk-scale enumeration gate")
-        gens = np.array([self.simple_reflection(j).perm
-                         for j in range(self.l)], dtype=np.int32)
-        ident = np.arange(self.num_roots, dtype=np.int32)
-        seen = {ident.tobytes()}
-        rows = [ident]
-        frontier = ident.reshape(1, -1)
-        while frontier.size:
-            fresh = []
-            for g in gens:
-                comp = g[frontier]  # (w then s_g)(i) = g[w[i]]
-                for row in comp:
-                    key = row.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        fresh.append(row)
-            frontier = np.array(fresh, dtype=np.int32) if fresh \
-                else np.empty((0, self.num_roots), dtype=np.int32)
-            rows.extend(fresh)
-        arr = np.array(rows, dtype=np.int32)
-        assert arr.shape[0] == order, "Weyl enumeration miscount"
-        self._weyl_cache = arr
-        return arr
-
-    def iter_weyl_chunks(self, allow_large=False, chunk=65536):
-        """Yield chunks of root permutations covering W exactly once.
-
-        Uses the cached breadth-first table at desk scale and a stabilizer
-        chain stream (no full element list in memory) beyond the gate.
-        """
-        order = self.weyl_order()
-        if order <= _DESK_ENUM_LIMIT:
-            arr = self.weyl_elements_array()
-            for i in range(0, arr.shape[0], chunk):
-                yield arr[i:i + chunk]
-            return
-        if not allow_large:
-            raise EnumerationGate(
-                f"|W| = {order} exceeds the desk-scale enumeration gate")
         gens = [tuple(self.simple_reflection(j).perm) for j in range(self.l)]
         chain = _StabilizerChain(gens, self.num_roots)
-        assert chain.order() == order
-        yield from chain.iter_chunks(chunk)
+        if chain.order() != order:
+            raise AssertionError("Weyl enumeration miscount")
+        if columns is None:
+            columns = range(self.num_roots)
+        yield from chain.iter_chunks(np.array(columns, dtype=_ROOT_DTYPE))
 
 
 class WeylElement:
@@ -585,7 +568,7 @@ def _frac_solve(C, B):
 
 
 # ---------------------------------------------------------------------------
-# Streaming enumeration for the large groups
+# Streaming enumeration
 # ---------------------------------------------------------------------------
 
 class _StabilizerChain:
@@ -653,34 +636,32 @@ class _StabilizerChain:
             total *= len(t)
         return total
 
-    def iter_chunks(self, chunk):
-        """Yield numpy arrays of permutations covering the group once.
+    def iter_chunks(self, columns):
+        """Yield arrays of permutations, restricted to ``columns``,
+        covering the group once.
 
-        Every element factors uniquely as u_{k-1} ... u_1 u_0 (deepest
-        transversal applied first, level 0 last); the level-0 sweep is
-        vectorized, deeper levels run through an odometer.
+        Every element factors uniquely as u_0 u_1 ... u_{k-1} (deepest
+        transversal applied first, level 0 last).  The shallowest levels
+        are folded into one table of at least _BLOCK_ROWS rows, read
+        through one gather per step of an odometer over the deeper levels.
         """
-        trans_arrays = [np.array(sorted(t.values()), dtype=np.int32)
-                        for t in self.transversals]
-        if not trans_arrays:
-            yield np.arange(self.degree, dtype=np.int32).reshape(1, -1)
-            return
-        deeper = trans_arrays[1:]
-        buf = []
-        size = 0
-        for combo in itertools.product(*[range(t.shape[0])
-                                         for t in deeper]):
-            partial = np.arange(self.degree, dtype=np.int32)
-            for lvl in range(len(deeper) - 1, -1, -1):
-                partial = deeper[lvl][combo[lvl]][partial]
-            rows = trans_arrays[0][:, partial]
-            buf.append(rows)
-            size += rows.shape[0]
-            if size >= chunk:
-                yield np.concatenate(buf, axis=0)
-                buf, size = [], 0
-        if buf:
-            yield np.concatenate(buf, axis=0)
+        levels = [np.array(sorted(t.values()), dtype=_ROOT_DTYPE)
+                  for t in self.transversals]
+        block = np.arange(self.degree, dtype=_ROOT_DTYPE)[None, :]
+        depth = 0
+        while depth < len(levels) and block.shape[0] < _BLOCK_ROWS:
+            block = block[:, levels[depth]].reshape(-1, self.degree)
+            depth += 1
+        # stored by columns, so that a step gathers whole contiguous rows
+        by_column = np.ascontiguousarray(block.T)
+
+        def walk(level, partial):
+            if level < depth:
+                yield by_column[partial].T
+                return
+            for u in levels[level]:
+                yield from walk(level - 1, u[partial])
+        yield from walk(len(levels) - 1, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -833,12 +814,12 @@ def reflection_derangement_stats(rd, allow_large=False):
             count *= c
             total *= t
         return count, total, Fraction(count, total)
-    neg = np.array([rd.neg(i) for i in range(rd.num_roots)],
-                   dtype=np.int32)
-    idx = np.arange(rd.num_roots, dtype=np.int32)
+    # w(-a) = -w(a), so the positive roots decide
+    idx = np.arange(rd.num_pos, dtype=_ROOT_DTYPE)
+    neg = idx + rd.num_pos
     count = 0
     total = 0
-    for chunk in rd.iter_weyl_chunks(allow_large=allow_large):
+    for chunk in rd.iter_weyl_chunks(allow_large=allow_large, columns=idx):
         fixes = ((chunk == idx) | (chunk == neg)).any(axis=1)
         count += int((~fixes).sum())
         total += chunk.shape[0]
@@ -846,11 +827,15 @@ def reflection_derangement_stats(rd, allow_large=False):
 
 
 def centralizer_order(rd, w, allow_large=False):
-    wp = np.array(w.perm, dtype=np.int32)
+    # x is determined by where it sends the simple roots, so xw = wx iff
+    # w(x(s)) = x(w(s)) for every simple root s
+    simple = rd.simple_indices
+    wp = np.array(w.perm, dtype=_ROOT_DTYPE)
+    cols = simple + [w.perm[s] for s in simple]
     total = 0
-    for arr in rd.iter_weyl_chunks(allow_large=allow_large):
-        left = wp[arr]           # x then w
-        right = arr[:, wp]       # w then x
+    for arr in rd.iter_weyl_chunks(allow_large=allow_large, columns=cols):
+        left = wp[arr[:, :rd.l]]     # x then w
+        right = arr[:, rd.l:]        # w then x
         total += int((left == right).all(axis=1).sum())
     return total
 
@@ -889,38 +874,21 @@ def one_minus_x_power(d):
 
 
 def det_one_minus_xw(w):
-    """det_Y(1 - wX) as an integer coefficient list."""
-    M = w.ymat()
+    """det_Y(1 - wX) as an integer coefficient list: the characteristic
+    polynomial det(tI - M) = t^n + c_1 t^(n-1) + ... + c_n of M = w on Y,
+    reversed, from the Faddeev-LeVerrier recurrence in exact integers."""
+    M = w.ymat().astype(object)
     n = M.shape[0]
-    out = [0] * (n + 1)
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        # product over i of (I - XM)[i, perm[i]] = delta - X*M[i, perm[i]]
-        poly = [1]
-        for i, j in enumerate(perm):
-            poly = _ipoly_mul(poly, [1 if i == j else 0, -int(M[i, j])])
-        for k, c in enumerate(poly):
-            out[k] += sign * c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
+    eye = np.eye(n, dtype=object)
+    N = np.zeros((n, n), dtype=object)
+    out = [1]
+    for k in range(1, n + 1):
+        N = M @ N + out[-1] * eye
+        trace = -np.trace(M @ N)
+        if trace % k:
+            raise AssertionError("nonexact Faddeev-LeVerrier division")
+        out.append(trace // k)
     return out
-
-
-def _perm_sign(perm):
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def qw_polynomial(rd, w):

@@ -159,6 +159,41 @@ def test_weyl_large_gate():
     assert code == 5
 
 
+def test_weyl_e7_allow_large_pinned():
+    code, out = run(["weyl", "--type", "E7", "--what", "derangements",
+                     "--allow-large"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["count"], payload["total"]) == (1217536, 2903040)
+    code, out = run(["weyl", "--type", "E7", "--what", "cis", "--element",
+                     "subcox", "--allow-large"])
+    assert code == 0
+    assert json.loads(out)["c"] == 60
+
+
+def test_weyl_never_builds_structure_constants(monkeypatch):
+    calls = []
+    build = rootdata.RootDatum._build_structure_constants
+
+    def counted(self):
+        calls.append(self.cartan_type)
+        return build(self)
+
+    monkeypatch.setattr(rootdata.RootDatum, "_build_structure_constants",
+                        counted)
+    for argv in (["--what", "derangements"],
+                 ["--what", "qw", "--element", "coxeter"],
+                 ["--what", "cis", "--element", "subcox"]):
+        code, _ = run(["weyl", "--type", "E6"] + argv)
+        assert code == 0
+    assert calls == []
+    rd = rootdata.build("E6")
+    table = rd._N
+    assert rd._N is table
+    assert rootdata.structure_constant(rd, *rd.extraspecial[6]) > 0
+    assert calls == ["E6"]
+
+
 def test_weyl_unknown_type():
     code, _ = run(["weyl", "--type", "Z9", "--what", "derangements"])
     assert code == 2

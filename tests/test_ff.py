@@ -249,3 +249,42 @@ def test_element_int_roundtrip_and_order():
     lvl = t.level(2)
     for idx in (0, 1, 6, 48):
         assert lvl.element(idx).to_int() == idx
+
+
+def _tables_one_step(level):
+    """The exp/log tables stepped one power of the generator at a time,
+    with the generator search of ``Level._build_tables``: the reference
+    for the blocked build."""
+    p, m, order = level.p, level.m, level.order
+    units = order - 1
+    fac = ff._prime_factors(units) if units > 1 else []
+    one = (1,) + (0,) * (m - 1)
+    gen = None
+    for idx in range(1, order):
+        cand = ff._int_to_coeffs(idx, p, m)
+        if all(ff._coeffs_pow(cand, units // ell, level) != one
+               for ell in fac):
+            gen = cand
+            break
+    exp = [0] * (2 * units)
+    log = [0] * order
+    cur = one
+    for i in range(units):
+        ci = sum(c * p ** k for k, c in enumerate(cur))
+        exp[i] = exp[i + units] = ci
+        log[ci] = i
+        cur = ff._poly_mul_reduce(cur, gen, level)
+    return exp, log
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (5, 2), (3, 6), (5, 6),
+                                  (7, 5), (2, 10)])
+def test_blocked_tables_match_one_step(p, m):
+    # (2, 1) has blocks of one power; 7^5 - 1 = 16806 is not a multiple of
+    # its block size 129, so the last block is cut short
+    t = ff.make_tower(p, 1)
+    level = t.level(t.extend(m))
+    assert level.m == m
+    exp, log = _tables_one_step(level)
+    assert level._exp == exp
+    assert level._log == log

@@ -1,3 +1,6 @@
+import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +85,31 @@ def test_structure_constants_properties(t):
         assert abs(n) <= 3
     for xi, (a, b) in rd.extraspecial.items():
         assert 0 < rd._N[(a, b)] <= 3
+
+
+def test_structure_constants_published_whole_to_concurrent_readers():
+    rd = rdm.build("E6")
+    want = dict(rdm.build("E6")._N)
+    seen = []
+    start = threading.Barrier(8)
+
+    def read():
+        start.wait(timeout=10)
+        table = rd._N
+        seen.append(len(table) == len(want) and table == want)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert seen == [True] * 8
 
 
 def test_coxeter_orders():
@@ -171,23 +199,101 @@ def test_enumeration_gate():
         rdm.reflection_derangement_stats(rd)
 
 
+def _weyl_bfs(rd):
+    """All Weyl elements as root permutations, by breadth-first closure
+    under the simple reflections: the oracle for the chain stream."""
+    gens = np.array([rd.simple_reflection(j).perm for j in range(rd.l)],
+                    dtype=np.int32)
+    ident = np.arange(rd.num_roots, dtype=np.int32)
+    seen = {ident.tobytes()}
+    rows = [ident]
+    frontier = ident.reshape(1, -1)
+    while frontier.size:
+        fresh = []
+        for g in gens:
+            for row in g[frontier]:  # (w then s_g)(i) = g[w[i]]
+                key = row.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(row)
+        frontier = np.array(fresh, dtype=np.int32).reshape(-1, rd.num_roots)
+        rows.extend(fresh)
+    return np.array(rows, dtype=np.int32)
+
+
+ORACLE_TYPES = ("A3", "B3", "F4", "D5", "E6", "A1xA2")
+
+
 def test_streaming_chain_matches_bfs():
-    for t in ("A3", "B3", "F4"):
+    for t in ORACLE_TYPES:
         rd = rdm.build(t)
-        gens = [tuple(rd.simple_reflection(j).perm) for j in range(rd.l)]
-        chain = rdm._StabilizerChain(gens, rd.num_roots)
-        assert chain.order() == rd.weyl_order()
-        seen = set()
-        for ch in chain.iter_chunks(128):
-            for row in ch:
-                seen.add(row.tobytes())
-        ref = {r.tobytes() for r in rd.weyl_elements_array()}
-        assert seen == ref
+        ref = {tuple(r) for r in _weyl_bfs(rd).tolist()}
+        assert len(ref) == rd.weyl_order()
+        rows = [tuple(r) for ch in rd.iter_weyl_chunks()
+                for r in ch.tolist()]
+        assert len(rows) == len(ref)
+        assert set(rows) == ref
+        assert {tuple(r) for r in rd.weyl_elements_array().tolist()} == ref
+
+
+def _sample_elements(rd):
+    rng = np.random.default_rng(7)
+    out = [rd.weyl_from_word(rng.integers(1, rd.l + 1, size=size).tolist())
+           for size in (3, 6, 11)]
+    if len(rd.components) == 1:
+        out += [rdm.coxeter_element(rd), rdm.subcoxeter_element(rd)]
+    return out
+
+
+@pytest.mark.parametrize("t", ORACLE_TYPES)
+def test_column_restricted_stats_match_full_permutations(t):
+    rd = rdm.build(t)
+    full = _weyl_bfs(rd)
+    idx = np.arange(rd.num_roots)
+    neg = np.array([rd.neg(i) for i in idx])
+    deranged = int((~((full == idx) | (full == neg)).any(axis=1)).sum())
+    count, total, _ = rdm.reflection_derangement_stats(rd)
+    assert (count, total) == (deranged, full.shape[0])
+    for w in _sample_elements(rd):
+        wp = np.array(w.perm)
+        commuting = int((wp[full] == full[:, wp]).all(axis=1).sum())
+        assert rdm.centralizer_order(rd, w) == commuting
 
 
 def test_qw_a1_coxeter():
     rd = rdm.build("A1")
     assert rdm.qw_polynomial(rd, rdm.coxeter_element(rd)) == [1, -1]
+
+
+def _det_leibniz(w):
+    """det_Y(1 - wX) by the Leibniz expansion over all n! permutations:
+    the oracle for the Faddeev-LeVerrier recurrence."""
+    M = w.ymat()
+    n = M.shape[0]
+    out = [0] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        poly = [1]
+        for i, j in enumerate(perm):
+            poly = rdm._ipoly_mul(poly, [int(i == j), -int(M[i, j])])
+        for k, c in enumerate(poly):
+            out[k] += (-1) ** inversions * c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("t", ["A6", "B6", "D5", "F4", "E6", "E7", "E8",
+                               "A2xB3"])
+def test_det_one_minus_xw_matches_leibniz(t):
+    rd = rdm.build(t)
+    if len(rd.components) == 1:
+        elements = [rdm.coxeter_element(rd), rdm.subcoxeter_element(rd)]
+    else:
+        elements = [rd.weyl_from_word([1, 3, 2, 4, 5, 3, 1])]
+    for w in elements:
+        assert rdm.det_one_minus_xw(w) == _det_leibniz(w)
 
 
 def test_qw_al_coxeter_product_form():
