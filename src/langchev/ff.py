@@ -4,13 +4,14 @@ A :class:`FieldTower` fixes a prime p and a base extension degree e, so the
 base field is k = GF(q) with q = p^e.  Levels are indexed by their relative
 degree r over k; level r is the field k_r = GF(q^r), represented absolutely
 as GF(p)[X]/(f_r) for a monic irreducible f_r of degree e*r.  Defining
-polynomials are chosen deterministically (first irreducible in a fixed
-enumeration), and embeddings between divisor-related levels are computed once
-and kept mutually coherent, so towers are reproducible across runs.  An
-embedding k_s -> k_t sends the root of f_s to a root of f_s in k_t; the roots
-come from the linear factors of f_s over k_t, found by the equal-degree split
-of ``linalg``, and the smallest coherent one is chosen, so the choice does not
-depend on the RNG.
+polynomials are chosen deterministically: the first candidate in a fixed
+enumeration whose own matrix of x -> x^p passes Berlekamp's criterion, and
+that matrix becomes the level's Frobenius table.  Embeddings between
+divisor-related levels are computed once and kept mutually coherent, so
+towers are reproducible across runs.  An embedding k_s -> k_t sends the root
+of f_s to a root of f_s in k_t; the roots come from the linear factors of f_s
+over k_t, found by the equal-degree split of ``linalg``, and the smallest
+coherent one is chosen, so the choice does not depend on the RNG.
 
 Elements (:class:`FqElement`) store their GF(p) coefficient vector
 little-endian in the chosen root of the level's defining polynomial.  All
@@ -23,6 +24,7 @@ diagonal quadratic equation over a level.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -36,60 +38,31 @@ _TABLE_LIMIT = 1 << 16
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[X] bootstrap helpers (coefficient lists of ints, little-endian).
-# These exist below FqElement so that defining polynomials and Frobenius
-# matrices can be built before any level arithmetic is available.
+# Word size, matrix powers and defining polynomials
 # ---------------------------------------------------------------------------
 
-def _gfp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+_prime_towers = {}
 
 
-def _gfp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _gfp_trim(out)
+def _prime_level(p):
+    """GF(p) as the one level of a tower cached per prime.  Towers grown in
+    parallel threads share it, so the first tower stored is the one every
+    caller gets."""
+    tower = _prime_towers.get(p)
+    if tower is None:
+        tower = _prime_towers.setdefault(p, FieldTower(p))
+    return tower.level(1)
 
 
-def _gfp_mod(a, f, p):
-    a = _gfp_trim(list(a))
-    df = len(f) - 1
-    finv = pow(f[-1], p - 2, p)
-    while a and len(a) - 1 >= df:
-        c = (a[-1] * finv) % p
-        shift = len(a) - 1 - df
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - c * fi) % p
-        a = _gfp_trim(a)
-    return a
-
-
-def _gfp_powmod(a, n, f, p):
-    result = [1]
-    base = _gfp_mod(a, f, p)
-    while n:
-        if n & 1:
-            result = _gfp_mod(_gfp_mul(result, base, p), f, p)
-        base = _gfp_mod(_gfp_mul(base, base, p), f, p)
-        n >>= 1
-    return result
-
-
-def _gfp_gcd(a, b, p):
-    a, b = _gfp_trim(list(a)), _gfp_trim(list(b))
-    while b:
-        a, b = b, _gfp_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
+def _check_word_size(n, p, m):
+    """Raise InputError unless max(n, m^2) (p-1)^2 < 2^63: the largest sum
+    of a product of inner dimension n followed by a fold through
+    `Level.fold`, each term a product of two residues mod p."""
+    bound = max(n, m ** 2) * (p - 1) ** 2
+    if bound >= 1 << 63:
+        raise InputError(
+            f"p = {p} is too large for exact int64 products at degree "
+            f"m = {m}: max(n, m^2) (p-1)^2 = {bound} reaches 2^63")
 
 
 def _prime_factors(n):
@@ -106,45 +79,60 @@ def _prime_factors(n):
     return out
 
 
-def _gfp_is_irreducible(f, p):
-    """Rabin's test for a monic polynomial over GF(p)."""
-    m = len(f) - 1
-    if m <= 0:
-        return False
-    if m == 1:
-        return True
-    x = [0, 1]
-    xq = _gfp_powmod(x, p ** m, f, p)
-    if _gfp_trim([(a - b) % p for a, b in
-                  zip(xq + [0] * len(x), x + [0] * len(xq))]) != []:
-        return False
-    for ell in _prime_factors(m):
-        d = m // ell
-        xd = _gfp_powmod(x, p ** d, f, p)
-        diff = [(a - b) % p for a, b in zip(xd + [0, 0], x + [0] * len(xd))]
-        if len(_gfp_gcd(diff, f, p)) - 1 != 0:
-            return False
-    return True
+def _mat_pow(mat, n, p):
+    """mat^n mod p for a square int64 matrix, by repeated squaring."""
+    out = np.eye(len(mat), dtype=np.int64)
+    while n:
+        if n & 1:
+            out = out @ mat % p
+        n >>= 1
+        if n:
+            mat = mat @ mat % p
+    return out
 
 
-def _first_irreducible(p, m):
-    """First monic irreducible of degree m over GF(p), enumerating the
-    non-leading coefficient vector as a base-p counter."""
+def _orbit(v, mat, n, p):
+    """The rows v, v mat, ..., v mat^(n-1) mod p."""
+    rows = [v]
+    for _ in range(n - 1):
+        rows.append(rows[-1] @ mat % p)
+    return np.array(rows)
+
+
+def _irreducible_tables(f, plevel):
+    """For a monic f of degree m >= 2 over GF(p), plevel being a level equal
+    to GF(p): when f is irreducible, two tables of GF(p)[X]/(f) =
+    GF(p)(zeta), powers (row k = zeta^k for k < 2m - 1) and frob_p (row j =
+    zeta^(p j), the matrix of x -> x^p); None otherwise.
+
+    Both tables are orbits of 1 = e_0, under the companion matrix C of f
+    (the matrix of x -> x zeta) and under C^p.  By Berlekamp's criterion
+    the fixed space of x -> x^p has one dimension per distinct irreducible
+    factor of f, so f is irreducible exactly when frob_p - 1 has rank
+    m - 1 and frob_p^m = 1 (which rules out a power of one irreducible)."""
+    from .linalg import Mat
+    p, m = plevel.p, len(f) - 1
+    eye = np.eye(m, dtype=np.int64)
+    comp = np.eye(m, k=1, dtype=np.int64)
+    comp[-1] = [(-c) % p for c in f[:m]]
+    frob_p = _orbit(eye[0], _mat_pow(comp, p, p), m, p)
+    if (np.array_equal(_mat_pow(frob_p, m, p), eye) and
+            Mat.from_int_rows(plevel, frob_p - eye).rank() == m - 1):
+        return _orbit(eye[0], comp, 2 * m - 1, p), frob_p
+    return None
+
+
+def _defining_tables(tower, m):
+    """(f, powers, frob_p) for the first monic irreducible f of degree m over
+    GF(p), enumerating its non-leading coefficients as a base-p counter."""
     if m == 1:
-        return [0, 1]
-    idx = 0
-    while True:
-        coeffs = []
-        t = idx
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        f = coeffs + [1]
-        if _gfp_is_irreducible(f, p):
-            return f
-        idx += 1
-        if idx >= p ** m:  # pragma: no cover - cannot happen
-            raise RuntimeError("no irreducible polynomial found")
+        return (0, 1), np.ones((1, 1), np.int64), np.ones((1, 1), np.int64)
+    plevel = tower.prime_level()
+    for idx in itertools.count(1):  # X^m itself is reducible
+        f = _int_to_coeffs(idx, tower.p, m) + (1,)
+        tables = _irreducible_tables(f, plevel)
+        if tables is not None:
+            return (f,) + tables
 
 
 def is_prime(n):
@@ -182,7 +170,7 @@ class Level:
     the owning tower fills in while new levels are created.
     """
 
-    def __init__(self, tower, r, defpoly):
+    def __init__(self, tower, r, defpoly, powers, frob_p):
         self.tower = tower
         self.r = r
         self.p = tower.p
@@ -190,37 +178,14 @@ class Level:
         self.order = tower.p ** self.m  # field size
         self.defpoly = tuple(defpoly)
         p, m = self.p, self.m
-        # reduction rows: red[j] = coeffs of zeta^(m+j) for j in 0..m-2
-        red = []
-        if m > 1:
-            red.append([(-c) % p for c in defpoly[:m]])
-            for _ in range(m - 2):
-                prev = red[-1]
-                cur = [0] + prev[:m - 1]
-                top = prev[m - 1]
-                if top:
-                    cur = [(cur[i] + top * red[0][i]) % p for i in range(m)]
-                red.append(cur)
         # powers[k] = coeffs of zeta^k for k < 2m - 1, and
         # fold[i*m + j] = coeffs of zeta^(i+j): folds all plane pairs at once
-        self.powers = np.vstack([
-            np.eye(m, dtype=np.int64),
-            np.array(red, dtype=np.int64).reshape(max(m - 1, 0), m)])
-        self.fold = self.powers[
-            np.add.outer(np.arange(m), np.arange(m)).ravel()]
+        self.powers = powers
+        self.fold = powers[np.add.outer(np.arange(m), np.arange(m)).ravel()]
         # matrix of x -> x^p (GF(p)-linear), rows act on coefficient rows
-        zp = _gfp_powmod([0, 1], p, list(defpoly), p)
-        rows = [[1] + [0] * (m - 1)]
-        cur = [1]
-        for _ in range(m - 1):
-            cur = _gfp_mod(_gfp_mul(cur, zp, p), list(defpoly), p)
-            rows.append(cur + [0] * (m - len(cur)))
-        self.frob_p = np.array(rows, dtype=np.int64) % p
-        fq = np.eye(m, dtype=np.int64)
-        for _ in range(tower.e):
-            fq = fq @ self.frob_p % p
-        self.frob_q = fq
-        self._frob_q_pows = {0: np.eye(m, dtype=np.int64), 1: fq}
+        self.frob_p = frob_p
+        self.frob_q = _mat_pow(frob_p, tower.e, p)
+        self._frob_q_pows = {}
         self.embed_from = {r: np.eye(m, dtype=np.int64)}
         # exp/log tables for small levels
         self._exp = self._log = None
@@ -235,27 +200,23 @@ class Level:
         fac = _prime_factors(units) if units > 1 else []
         one = (1,) + (0,) * (m - 1)
         gen = None
-        for idx in range(1, order):
+        # the constants 1 .. p-1 have orders dividing p - 1 < units
+        for idx in range(p if m > 1 else 1, order):
             cand = _int_to_coeffs(idx, p, m)
             if all(_coeffs_pow(cand, units // ell, self) != one
                    for ell in fac):
                 gen = cand
                 break
 
-        def times(c):  # matrix of x -> x c, rows act on coefficient rows
-            return np.array(
-                [_poly_mul_reduce(tuple(int(i == j) for i in range(m)), c,
-                                  self) for j in range(m)], dtype=np.int64)
-
         # gen^0 .. gen^(B-1) one step at a time, then each further block of
         # B powers by one product with the matrix of x -> x gen^B
-        mul_gen = times(gen)
+        mul_gen = _mult_matrix(gen, self)
         B = math.isqrt(units)
         block = np.empty((B, m), dtype=np.int64)
         block[0] = one
         for i in range(1, B):
             block[i] = block[i - 1] @ mul_gen % p
-        mul_block = times(tuple((block[-1] @ mul_gen % p).tolist()))
+        mul_block = _mult_matrix(block[-1] @ mul_gen % p, self)
         weights = p ** np.arange(m)
         codes = [block @ weights]
         for _ in range(-(-units // B) - 1):
@@ -272,10 +233,7 @@ class Level:
         i %= self.r
         mat = self._frob_q_pows.get(i)
         if mat is None:
-            mat = self._frob_q_pows[1].copy()
-            for _ in range(i - 1):
-                mat = mat @ self._frob_q_pows[1] % self.p
-            self._frob_q_pows[i] = mat
+            mat = self._frob_q_pows[i] = _mat_pow(self.frob_q, i, self.p)
         return mat
 
     def element(self, value):
@@ -338,6 +296,14 @@ def _poly_mul_reduce(a, b, level):
     conv = np.convolve(np.asarray(a, dtype=np.int64),
                        np.asarray(b, dtype=np.int64)) % p
     return tuple((conv @ level.powers % p).tolist())
+
+
+def _mult_matrix(coeffs, level):
+    """The GF(p)-matrix of x -> x c on a level, rows acting on coefficient
+    rows: row j holds c zeta^j = sum_i c_i zeta^(i+j), read off `fold`."""
+    m = level.m
+    c = np.asarray(coeffs, dtype=np.int64)
+    return (c @ level.fold.reshape(m, m * m) % level.p).reshape(m, m)
 
 
 def _coeffs_pow(coeffs, n, level):
@@ -525,8 +491,10 @@ class FieldTower:
             raise InputError(f"r = {r} must be >= 1")
         if r in self.levels:
             return r
-        defpoly = _first_irreducible(self.p, self.e * r)
-        level = Level(self, r, defpoly)
+        m = self.e * r
+        if m > 1:  # the level's tables are int64; m = 1 uses Python ints
+            _check_word_size(0, self.p, m)
+        level = Level(self, r, *_defining_tables(self, m))
         self.levels[r] = level
         # embeddings from existing divisors, in increasing order so that
         # coherence constraints are available when each one is built
@@ -538,6 +506,11 @@ class FieldTower:
             if t != r and t % r == 0:
                 self._build_embedding(r, t)
         return r
+
+    def prime_level(self):
+        """GF(p) as a level: level 1 when e = 1, else the one cached per
+        prime (so no second tables of GF(p) are built when e = 1)."""
+        return self.levels[1] if self.e == 1 else _prime_level(self.p)
 
     def level(self, r):
         if r not in self.levels:

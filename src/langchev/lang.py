@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExhausted, InputError
-from .ff import FqElement, fixed_nonsquare, sqrt, \
+from .ff import FqElement, _mult_matrix, fixed_nonsquare, sqrt, \
     solve_diag_quadratic
 from .linalg import Mat, matrix_order
 
@@ -259,26 +259,6 @@ def norm_and_order(tower, c, r=None, cap=10 ** 6):
 # F-eigenspaces
 # ---------------------------------------------------------------------------
 
-_prime_towers = {}
-
-
-def _prime_level(p):
-    from .ff import make_tower
-    if p not in _prime_towers:
-        _prime_towers[p] = make_tower(p, 1)
-    return _prime_towers[p].level(1)
-
-
-def _mult_matrix(x):
-    """GF(p)-matrix of multiplication by x on its level."""
-    from .ff import _poly_mul_reduce
-    level = x.level
-    rows = [_poly_mul_reduce(tuple(int(i == j) for i in range(level.m)),
-                             x.coeffs, level)
-            for j in range(level.m)]
-    return np.array(rows, dtype=np.int64)
-
-
 def f_eigenspace_det(instance):
     """Deterministic eigenspace: fixed points of S^(+d) C over GF(p).
 
@@ -298,8 +278,8 @@ def f_eigenspace_det(instance):
             e = c.entry(j, j2)
             if e:
                 big[j * m:(j + 1) * m, j2 * m:(j2 + 1) * m] = \
-                    S @ _mult_matrix(e) % p
-    plevel = _prime_level(p)
+                    S @ _mult_matrix(e.coeffs, level) % p
+    plevel = tower.prime_level()
     T = Mat.from_int_rows(plevel, big % p)
     from .linalg import fixed_space
     fixed = fixed_space(T)
@@ -339,7 +319,7 @@ def _relative_coords(tower, x, sub_r=1):
                                              level))
             theta_pow = _poly_mul_reduce(theta_pow, theta, level)
         mat = np.array(rows, dtype=np.int64)
-        plevel = _prime_level(level.p)
+        plevel = tower.prime_level()
         inv = Mat.from_int_rows(plevel, mat).inverse()
         cache[key] = inv.planes[0]
     inv = cache[key]

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExhausted, InputError, RecognitionError
-from .ff import FqElement
-from .linalg import Mat, _check_word_size, _planes_matmul, factor
+from .ff import FqElement, _check_word_size
+from .linalg import Mat, _planes_matmul, factor
 
 log = logging.getLogger(__name__)
 
@@ -180,7 +180,7 @@ def _jacobi_join(T, level, nz, firsts):
     (k,i,j,l) and (j,k,i,l), so each product, reduced mod p and folded, is
     filed under the smallest of the three keys.  A key sums at most 3d
     residues, so only the products need the word-size check."""
-    _check_word_size(1, level)
+    _check_word_size(1, level.p, level.m)
     m, d, p = level.m, T.shape[1], level.p
     i, j, n = nz
     reps = firsts[n]

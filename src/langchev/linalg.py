@@ -18,24 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BudgetExhausted, InputError
-from .ff import FqElement, _int_to_coeffs
+from .ff import FqElement, _check_word_size, _int_to_coeffs
 
 __all__ = [
     "Mat", "PolyFq", "rref", "kernel", "solve", "det", "charpoly",
     "factor", "matrix_order", "fixed_space",
 ]
-
-
-def _check_word_size(n, level):
-    """Raise InputError unless max(n, m^2) (p-1)^2 < 2^63: the largest sum
-    of a product of inner dimension n followed by a fold through
-    `Level.fold`, each term a product of two residues mod p."""
-    p = level.p
-    bound = max(n, level.m ** 2) * (p - 1) ** 2
-    if bound >= 1 << 63:
-        raise InputError(
-            f"p = {p} is too large for exact int64 products here: "
-            f"max(n, m^2) (p-1)^2 = {bound} reaches 2^63")
 
 
 def _planes_matmul(a, b, level):
@@ -49,7 +37,7 @@ def _planes_matmul(a, b, level):
     m, p = level.m, level.p
     _, r, n = a.shape
     c = b.shape[2]
-    _check_word_size(n, level)
+    _check_word_size(n, p, m)
     if m == 1:
         return (a[0] @ b[0] % p)[None]
     pairs = a.reshape(m * r, n) @ b.transpose(1, 0, 2).reshape(n, m * c) % p
@@ -767,28 +755,6 @@ def _equal_degree_split(f, d, rng):
         if 0 < g.degree < f.degree:
             return (_equal_degree_split(g, d, rng)
                     + _equal_degree_split(f // g, d, rng))
-
-
-def is_irreducible(f, rng=None):
-    """Rabin-style certification over the coefficient level."""
-    f = f.monic()
-    n = f.degree
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    level = f.level
-    q = level.order
-    x = PolyFq.x(level)
-    xq = x.pow_mod(q ** n, f)
-    if not (xq - x).is_zero():
-        return False
-    from .ff import _prime_factors
-    for ell in _prime_factors(n):
-        h = x.pow_mod(q ** (n // ell), f)
-        if (h - x).gcd(f).degree != 0:
-            return False
-    return True
 
 
 def factor(f, rng):

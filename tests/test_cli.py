@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -103,6 +104,18 @@ def test_lang_prime_past_word_size_is_input_error(capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert "4294967311" in err and "Traceback" not in err
+
+
+def test_lang_degree_past_word_size_is_input_error(capsys):
+    # int64 holds GF(p) products at this p, but no level of degree >= 2:
+    # the tower degree the norm's order needs is refused before any search
+    start = time.perf_counter()
+    code, out = run(["lang", "--group", "GL", "--p", "2147483647", "--c",
+                     "[[2,3],[5,7]]"])
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "2147483647" in err and "Traceback" not in err
 
 
 def test_chevalley_char_guard():

@@ -2,8 +2,14 @@ import hashlib
 import itertools
 import json
 import random
+import sys
+import threading
 
+import numpy as np
 import pytest
+from sympy import GF, ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_pow_mod
+from sympy.polys.matrices import DomainMatrix
 
 from langchev import ff
 from langchev.errors import InputError
@@ -175,6 +181,152 @@ def test_scalar_product_exact_at_large_prime():
     assert (x * y).coeffs == (p - 1, 5)
 
 
+def _mul_mod_reference(a, b, f, p):
+    """a b mod (f, p) in Python ints: the full product, then its terms of
+    degree >= m cleared by the monic f of degree m."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    m = len(f) - 1
+    for k in range(len(prod) - 1, m - 1, -1):
+        c = prod[k]
+        for i, fi in enumerate(f):
+            prod[k - m + i] -= c * fi
+    return tuple(c % p for c in prod[:m])
+
+
+def test_extend_refuses_degree_past_word_size():
+    # m^2 (p-1)^2 >= 2^63 for every m >= 2; at degree 3, squaring
+    # (p-1)(1 + zeta + zeta^2) used to wrap silently to (2147483638,
+    # 2147483644, 2147483646)
+    p = 2147483647
+    t = ff.make_tower(p)  # degree 1 computes in Python ints
+    for r in (2, 3):
+        with pytest.raises(InputError, match=r"m = %d.*2\^63" % r):
+            t.extend(r)
+    assert sorted(t.levels) == [1]
+    with pytest.raises(InputError, match=str(p)):
+        ff.make_tower(p, 2)
+    # the largest prime = 1 mod 3 with 9 (p-1)^2 < 2^63 (so X^3 + c is
+    # irreducible for some small c): degree 3 is built, products are exact
+    p = 1012333453
+    assert 9 * (p - 1) ** 2 < 1 << 63
+    t = ff.make_tower(p)
+    level = t.level(t.extend(3))
+    x = level.element([p - 1] * 3)
+    y = level.element([p - 2, 1, p - 3])
+    for a, b in ((x, x), (x, y), (y, y)):
+        assert (a * b).coeffs == _mul_mod_reference(
+            a.coeffs, b.coeffs, level.defpoly, p)
+
+
+def _candidates(p, m):
+    """Monic degree-m polynomials over GF(p), little-endian, in the
+    enumeration order of defining polynomials: the non-leading
+    coefficients count up in base p."""
+    for idx in itertools.count():
+        yield ff._int_to_coeffs(idx, p, m) + (1,)
+
+
+def _pow_rows(f, p, exps):
+    """Row per exponent e: X^e mod f over GF(p) (sympy), little-endian."""
+    m = len(f) - 1
+    rows = []
+    for e in exps:
+        r = [int(c) for c in reversed(gf_pow_mod([1, 0], e, list(
+            reversed(f)), p, ZZ))]
+        rows.append(r + [0] * (m - len(r)))
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_defpoly_is_first_candidate_sympy_accepts(p):
+    for m in range(1, 9):
+        want = next(f for f in _candidates(p, m)
+                    if gf_irreducible_p(list(reversed(f)), p, ZZ))
+        t = ff.make_tower(p)
+        level = t.level(t.extend(m))
+        assert level.defpoly == want
+        assert np.array_equal(level.powers, _pow_rows(want, p,
+                                                      range(2 * m - 1)))
+        assert np.array_equal(level.frob_p, _pow_rows(
+            want, p, range(0, p * m, p)))
+
+
+def _rank_mod(rows, p):
+    return DomainMatrix([[GF(p)(int(c)) for c in row] for row in rows],
+                        (len(rows), len(rows[0])), GF(p)).rank()
+
+
+def _power_mod(mat, n, p):
+    out = np.eye(len(mat), dtype=np.int64)
+    for _ in range(n):
+        out = out @ mat % p
+    return out
+
+
+def _gf_product(factors, p):
+    """Little-endian product of little-endian factors over GF(p)."""
+    out = [1]
+    for g in factors:
+        out = gf_mul(out, list(reversed(g)), p, ZZ)
+    return tuple(int(c) for c in reversed(out))
+
+
+def test_berlekamp_rank_rejects_distinct_factors():
+    # X (X^2+1) (X^3+2X+1) over GF(3): every factor degree divides 6, so
+    # x -> x^3 has order dividing 6 on GF(3)[X]/(f), but its fixed space
+    # has one dimension per factor
+    p = 3
+    f = _gf_product([(0, 1), (1, 0, 1), (1, 2, 0, 1)], p)
+    m = len(f) - 1
+    frob = _pow_rows(f, p, range(0, p * m, p))
+    assert np.array_equal(_power_mod(frob, m, p), np.eye(m, dtype=np.int64))
+    assert _rank_mod(frob - np.eye(m, dtype=np.int64), p) == 3
+    assert ff._irreducible_tables(f, ff._prime_level(p)) is None
+
+
+def test_berlekamp_power_rejects_square_of_irreducible():
+    # (X^2+1)^2 over GF(3): one distinct factor gives rank m - 1, but
+    # GF(3)[X]/(f) has nilpotents, so x -> x^3 has no power equal to 1
+    p = 3
+    f = _gf_product([(1, 0, 1), (1, 0, 1)], p)
+    m = len(f) - 1
+    frob = _pow_rows(f, p, range(0, p * m, p))
+    assert not np.array_equal(_power_mod(frob, m, p),
+                              np.eye(m, dtype=np.int64))
+    assert _rank_mod(frob - np.eye(m, dtype=np.int64), p) == m - 1
+    assert ff._irreducible_tables(f, ff._prime_level(p)) is None
+    assert ff._irreducible_tables((1, 0, 1), ff._prime_level(p)) is not None
+
+
+def test_prime_level_cache_hands_out_one_level():
+    # every tower of degree >= 2 tests its candidates over the cached GF(p)
+    p = 10007
+    ff._prime_towers.pop(p, None)
+    seen = []
+    start = threading.Barrier(8)
+
+    def get():
+        start.wait(timeout=10)
+        seen.append(ff._prime_level(p))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=get) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert len(seen) == 8
+    assert all(level is ff._prime_level(p) for level in seen)
+
+
 def test_embedding_built_for_late_divisor():
     t = ff.make_tower(5)
     t.extend(6)
@@ -278,10 +430,11 @@ def _tables_one_step(level):
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (5, 2), (3, 6), (5, 6),
-                                  (7, 5), (2, 10)])
+                                  (7, 5), (2, 10), (251, 2)])
 def test_blocked_tables_match_one_step(p, m):
     # (2, 1) has blocks of one power; 7^5 - 1 = 16806 is not a multiple of
-    # its block size 129, so the last block is cut short
+    # its block size 129, so the last block is cut short; at (251, 2) the
+    # blocked build skips the 250 constants, the reference tries them
     t = ff.make_tower(p, 1)
     level = t.level(t.extend(m))
     assert level.m == m
