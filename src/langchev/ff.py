@@ -24,6 +24,7 @@ diagonal quadratic equation over a level.
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 import random
@@ -167,7 +168,9 @@ class Level:
     """Data for one tower level k_r = GF(p^(e*r)).
 
     Immutable after construction except for the embedding dictionary, which
-    the owning tower fills in while new levels are created.
+    the owning tower fills in while new levels are created, and the caches
+    of Frobenius powers and descent solvers, whose entries are stored
+    whole on first use.
     """
 
     def __init__(self, tower, r, defpoly, powers, frob_p):
@@ -186,6 +189,7 @@ class Level:
         self.frob_p = frob_p
         self.frob_q = _mat_pow(frob_p, tower.e, p)
         self._frob_q_pows = {}
+        self._descents = {}  # liealg._descent_solver, per lower level r
         self.embed_from = {r: np.eye(m, dtype=np.int64)}
         # exp/log tables for small levels
         self._exp = self._log = None
@@ -225,9 +229,10 @@ class Level:
         codes = np.concatenate(codes)[:units]
         log = np.zeros(order, dtype=np.int64)
         log[codes] = np.arange(units)
-        exp = codes.tolist()
-        self._exp = exp + exp  # both halves share one int object per power
-        self._log = log.tolist()
+        # int64 arrays: 24 bytes per field element against about 88 for
+        # lists of ints, and indexing still gives Python ints
+        self._exp = array.array("q", np.tile(codes, 2).tobytes())
+        self._log = array.array("q", log.tobytes())
 
     def frob_q_pow(self, i):
         i %= self.r
@@ -397,8 +402,21 @@ class FqElement:
             idx = level._exp[(level.order - 1 - level._log[ia])
                              % (level.order - 1)]
             return FqElement(level, _int_to_coeffs(idx, level.p, level.m))
-        return FqElement(level,
-                         _coeffs_pow(self.coeffs, level.order - 2, level))
+        p = level.p
+        if level.m == 1:
+            return FqElement(level, (pow(int(self.coeffs[0]), -1, p),))
+        # a^-1 = (a^p a^(p^2) ... a^(p^(m-1))) N(a)^-1, N(a) in GF(p)
+        conj = np.array(self.coeffs, dtype=np.int64)
+        rest = None
+        for _ in range(level.m - 1):
+            conj = conj @ level.frob_p % p
+            c = tuple(conj.tolist())
+            rest = c if rest is None else _poly_mul_reduce(rest, c, level)
+        norm = _poly_mul_reduce(self.coeffs, rest, level)
+        if any(norm[1:]):
+            raise AssertionError("norm escaped GF(p)")
+        inv = pow(norm[0], -1, p)
+        return FqElement(level, tuple(c * inv % p for c in rest))
 
     def __truediv__(self, other):
         a, b = self._match(other)

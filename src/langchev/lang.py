@@ -250,7 +250,8 @@ def norm_and_order(tower, c, r=None, cap=10 ** 6):
     N = c
     for i in range(1, r):
         N = c.frobenius(i) @ N
-    assert N.frobenius(r) == N, "norm escaped its level"
+    if not N.frobenius(r) == N:
+        raise AssertionError("norm escaped its level")
     s = matrix_order(N, cap=cap)
     return N, s
 

@@ -726,7 +726,26 @@ def _k2_root_pair(L, Q, Hq, Wq, rng):
 def _descend(rows, level):
     """Rows over an extension level whose entries all lie in the image of
     the base level; returns their base-level preimages (or None)."""
-    emb = rows.level.embed_from[level.r] % level.p
+    pivots, body, tail = _descent_solver(rows.level, level)
+    p = level.p
+    targets = rows.planes.reshape(rows.level.m, -1).T % p
+    coeff = targets[:, pivots]
+    if not np.array_equal(coeff @ body % p, targets):
+        return None
+    return Mat(level, (coeff @ tail % p).T.reshape(
+        level.m, rows.nrows, rows.ncols))
+
+
+def _descent_solver(src, level):
+    """(pivots, body, tail) of the row-reduced [emb | I], emb being the
+    embedding of `level` into the level `src`: a coefficient row t of src
+    lies in the image when t[pivots] @ body = t, and its preimage is
+    t[pivots] @ tail.  Reduced once per pair and kept on `src`; the tuple
+    is stored whole, so a concurrent reader finds it complete or absent."""
+    solver = src._descents.get(level.r)
+    if solver is not None:
+        return solver
+    emb = src.embed_from[level.r] % level.p
     p = level.p
     m_src, m_dst = emb.shape
     aug = np.concatenate([emb, np.eye(m_src, dtype=np.int64)], axis=1) % p
@@ -744,17 +763,9 @@ def _descend(rows, level):
                 aug[i] = (aug[i] - aug[i, c] * aug[r]) % p
         pivots.append(c)
         r += 1
-    body = aug[:r, :m_dst]
-    tail = aug[:r, m_dst:]
-    out = np.zeros((level.m, rows.nrows, rows.ncols), dtype=np.int64)
-    for i in range(rows.nrows):
-        for j in range(rows.ncols):
-            target = rows.planes[:, i, j] % p
-            coeff = target[pivots]
-            if ((coeff @ body) % p != target).any():
-                return None
-            out[:, i, j] = coeff @ tail % p
-    return Mat(level, out)
+    solver = (np.array(pivots, dtype=np.intp), aug[:r, :m_dst],
+              aug[:r, m_dst:])
+    return src._descents.setdefault(level.r, solver)
 
 
 def split_maximal_toral_subalgebra(L, Z=None, rng=None, budgets=None,

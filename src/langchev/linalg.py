@@ -15,6 +15,8 @@ certified irreducible before it is handed back.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BudgetExhausted, InputError
@@ -161,18 +163,23 @@ class Mat:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """Square-and-multiply: bits(n) - 1 squarings and popcount(n) - 1
+        further products, none with the identity."""
         if self.nrows != self.ncols:
             raise InputError("pow needs a square matrix")
         if n < 0:
             return self.inverse() ** (-n)
-        result = Mat.identity(self.level, self.nrows)
+        if n == 0:
+            return Mat.identity(self.level, self.nrows)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             n >>= 1
-        return result
+            if not n:
+                return self.copy() if result is self else result
+            base = base @ base
 
     def frobenius(self, i=1):
         level = self.level
@@ -778,7 +785,8 @@ def factor(f, rng):
                     if x is None:
                         x = PolyFq.x(f.level)
                     xq = x.pow_mod(f.level.order ** irr.degree, irr)
-                    assert (xq - x).is_zero(), "factor failed certification"
+                    if not (xq - x).is_zero():
+                        raise AssertionError("factor failed certification")
                 out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree,
                             [c.to_int() for c in t[0].coeffs()]))
@@ -841,9 +849,11 @@ def _factor_int(n, rng):
 def matrix_order(M, cap=10 ** 6, rng=None):
     """Least t >= 1 with M^t = I.
 
-    Factors the characteristic polynomial to bound the order, then descends
-    through the divisors; when the integer factorizations resist the budget,
-    falls back to plain iteration up to ``cap``.
+    Factors the characteristic polynomial to bound the order, factors the
+    bound and finds the order's part at each of its primes by divide and
+    conquer (`_order_from_multiple`), which also checks that M^bound = I;
+    when the integer factorizations resist the budget, falls back to plain
+    iteration up to ``cap``.
     """
     import random as _random
     rng = rng or _random.Random(0)
@@ -874,13 +884,37 @@ def matrix_order(M, cap=10 ** 6, rng=None):
                 return t
             acc = acc @ M
         raise BudgetExhausted(f"matrix order exceeds cap {cap}")
-    if not (M ** bound) == ident:  # pragma: no cover
-        raise AssertionError("order bound violated")
-    t = bound
-    for ell in primes:
-        while t % ell == 0 and (M ** (t // ell)) == ident:
-            t //= ell
-    return t
+    return _order_from_multiple(M, list(primes.items()), ident)
+
+
+def _order_from_multiple(A, items, ident):
+    """Order of A from prime powers items = [(l, v), ...] whose product B
+    should be a multiple of it (Celler and Leedham-Green).
+
+    A single prime's part is found by raising A to the l-th power until it
+    is I, at most v times; more primes split into halves L and R, solved on
+    A^(prod R) and A^(prod L).  Every leaf raises A^(B / l^v) to l^v, so
+    each one tests A^B = I and raises AssertionError when it fails: a bound
+    that misses part of the order never yields a wrong one."""
+    if not items:
+        if not A == ident:
+            raise AssertionError("order bound violated")
+        return 1
+    if len(items) == 1:
+        (ell, v), = items
+        e = 0
+        while not A == ident:
+            if e == v:
+                raise AssertionError("order bound violated")
+            A = A ** ell
+            e += 1
+        return ell ** e
+    half = len(items) // 2
+    left, right = items[:half], items[half:]
+    b_left = math.prod(ell ** v for ell, v in left)
+    b_right = math.prod(ell ** v for ell, v in right)
+    return (_order_from_multiple(A ** b_right, left, ident)
+            * _order_from_multiple(A ** b_left, right, ident))
 
 
 # ---------------------------------------------------------------------------

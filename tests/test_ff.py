@@ -439,5 +439,38 @@ def test_blocked_tables_match_one_step(p, m):
     level = t.level(t.extend(m))
     assert level.m == m
     exp, log = _tables_one_step(level)
-    assert level._exp == exp
-    assert level._log == log
+    assert level._exp.tolist() == exp
+    assert level._log.tolist() == log
+
+
+# levels past the exp/log-table limit: (p, e, r), absolute degree m = e r
+UNTABLED = [(5, 1, 8), (3, 1, 12), (2, 1, 17), (13, 1, 5), (65537, 2, 1),
+            (10 ** 9 + 7, 1, 1)]
+
+
+@pytest.mark.parametrize("p, e, r", UNTABLED)
+def test_inverse_through_norm_matches_power(p, e, r):
+    tower = ff.make_tower(p, e)
+    level = tower.level(tower.extend(r))
+    assert level._exp is None
+    rng = random.Random(p * 100 + r)
+    for idx in [1, 2, p - 1, level.order - 1] + [
+            rng.randrange(1, level.order) for _ in range(12)]:
+        x = level.element(idx)
+        inv = x.inverse()
+        # the Fermat power x^(q-2) the inverse used before
+        assert inv.coeffs == ff._coeffs_pow(x.coeffs, level.order - 2, level)
+        assert x * inv == level.one
+    with pytest.raises(ZeroDivisionError):
+        level.zero.inverse()
+
+
+def test_inverse_rejects_norm_outside_prime_field(monkeypatch):
+    tower = ff.make_tower(5)
+    level = tower.level(tower.extend(8))
+    x = level.element([1, 1, 0, 0, 0, 0, 0, 0])
+    assert (x ** 8).coeffs[1:] != (0,) * 7
+    # with x -> x^p replaced by the identity, the "norm" is x^m
+    monkeypatch.setattr(level, "frob_p", np.eye(8, dtype=np.int64))
+    with pytest.raises(AssertionError, match="norm escaped GF"):
+        x.inverse()

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import time
 
 import numpy as np
@@ -689,3 +691,98 @@ def test_p_power_on_recovered_basis():
     for r in range(rd.num_roots):
         e = basis.e.row(r)
         assert mod_center_zero(p_power_mod_center(L, e))
+
+
+def _descend_per_entry(rows, level):
+    """The descent _descend ran before: row-reduce [emb | I] on every call,
+    then solve one entry at a time."""
+    emb = rows.level.embed_from[level.r] % level.p
+    p = level.p
+    m_src, m_dst = emb.shape
+    aug = np.concatenate([emb, np.eye(m_src, dtype=np.int64)], axis=1) % p
+    r = 0
+    pivots = []
+    for c in range(m_dst):
+        nz = [i for i in range(r, m_src) if aug[i, c] % p]
+        if not nz:
+            continue
+        aug[[r, nz[0]]] = aug[[nz[0], r]]
+        inv = pow(int(aug[r, c]), p - 2, p)
+        aug[r] = aug[r] * inv % p
+        for i in range(m_src):
+            if i != r and aug[i, c] % p:
+                aug[i] = (aug[i] - aug[i, c] * aug[r]) % p
+        pivots.append(c)
+        r += 1
+    body = aug[:r, :m_dst]
+    tail = aug[:r, m_dst:]
+    out = np.zeros((level.m, rows.nrows, rows.ncols), dtype=np.int64)
+    for i in range(rows.nrows):
+        for j in range(rows.ncols):
+            target = rows.planes[:, i, j] % p
+            coeff = target[pivots]
+            if ((coeff @ body) % p != target).any():
+                return None
+            out[:, i, j] = coeff @ tail % p
+    return Mat(level, out)
+
+
+@pytest.mark.parametrize("p, e, lo, hi", [
+    (5, 1, 1, 4), (7, 2, 1, 3), (3, 1, 2, 6), (2, 2, 2, 4)])
+def test_descend_matches_per_entry_oracle(p, e, lo, hi):
+    t = ff.make_tower(p, e)
+    t.extend(lo)
+    t.extend(hi)
+    low, high = t.level(lo), t.level(hi)
+    rng = random.Random(p * 10 + hi)
+    for shape in [(1, 1), (2, 3), (4, 1), (3, 5)]:
+        M = Mat.random(low, *shape, rng)
+        up = M.embed(hi)
+        got = liealg._descend(up, low)
+        assert got == M == _descend_per_entry(up, low)
+        # one entry moved off the image by adding the generator zeta of the
+        # high level, which lies in no proper subfield: neither descends
+        bad = up.copy()
+        i, j = rng.randrange(shape[0]), rng.randrange(shape[1])
+        bad.planes[1, i, j] = (bad.planes[1, i, j] + 1) % p
+        assert _descend_per_entry(bad, low) is None
+        assert liealg._descend(bad, low) is None
+        # random rows over the high level rarely descend; agree either way
+        R = Mat.random(high, *shape, rng)
+        want = _descend_per_entry(R, low)
+        got = liealg._descend(R, low)
+        assert (got is None) if want is None else (got == want)
+    # the reduced system is made once per (level, lower level) pair
+    solver = high._descents[lo]
+    liealg._descend(M.embed(hi), low)
+    assert high._descents[lo] is solver
+
+
+def test_descent_solver_published_whole_to_concurrent_readers():
+    t = ff.make_tower(7, 2)
+    t.extend(3)
+    low, high = t.level(1), t.level(3)
+    M = Mat.random(low, 3, 4, random.Random(8))
+    up = M.embed(3)
+    results, solvers = [], []
+    start = threading.Barrier(8)
+
+    def work():
+        start.wait(timeout=10)
+        solvers.append(liealg._descent_solver(high, low))
+        results.append(liealg._descend(up, low))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == 8 and all(r == M for r in results)
+    assert len(solvers) == 8
+    assert all(s is high._descents[1] for s in solvers)

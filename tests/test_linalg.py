@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from langchev import ff, linalg
 from langchev.errors import InputError
@@ -175,6 +178,141 @@ def test_matrix_order_rejects_singular():
     L = lvl(3)
     with pytest.raises(InputError):
         linalg.matrix_order(Mat.zeros(L, 2, 2))
+
+
+def _pow_identity_loop(M, n):
+    """The square-and-multiply loop Mat.__pow__ ran before: from the
+    identity, squaring after every bit."""
+    result = Mat.identity(M.level, M.nrows)
+    base = M
+    while n:
+        if n & 1:
+            result = result @ base
+        base = base @ base
+        n >>= 1
+    return result
+
+
+def test_pow_product_count_and_values(monkeypatch):
+    L = lvl(7, r=2)
+    M = Mat.random(L, 3, 3, random.Random(11))
+    expected = {n: _pow_identity_loop(M, n)
+                for n in list(range(40)) + [64, 255, 256, 1000, 2 ** 20 + 1]}
+    calls = []
+    kernel = linalg._planes_matmul
+
+    def counting(a, b, level):
+        calls.append(1)
+        return kernel(a, b, level)
+
+    monkeypatch.setattr(linalg, "_planes_matmul", counting)
+    for n, want in expected.items():
+        calls.clear()
+        got = M ** n
+        assert got == want
+        products = 0 if n == 0 else (n.bit_length() - 1
+                                     + bin(n).count("1") - 1)
+        assert len(calls) == products, n
+    # M ** 1 is a fresh matrix, as before
+    once = M ** 1
+    once.planes[:] = 0
+    assert not M.is_zero()
+
+
+# GF(5), GF(9) and GF(49) as (p, e) of a tower's base level
+ORDER_FIELDS = [(5, 1), (3, 2), (7, 2)]
+_order_levels = {}
+
+
+def _order_level(p, e):
+    if (p, e) not in _order_levels:
+        _order_levels[(p, e)] = ff.make_tower(p, e).level(1)
+    return _order_levels[(p, e)]
+
+
+@st.composite
+def invertible_case(draw):
+    """An invertible n x n matrix, n <= 3: a random one, or a conjugate of
+    lambda I + N for a nilpotent N on the superdiagonal (the charpoly is a
+    power, so matrix_order's p-part of the bound is in play)."""
+    level = _order_level(*draw(st.sampled_from(ORDER_FIELDS)))
+    n = draw(st.integers(1, 3))
+    elems = st.integers(0, level.order - 1)
+    P = Mat.from_entries(level, [[draw(elems) for _ in range(n)]
+                                 for _ in range(n)])
+    if draw(st.booleans()):
+        lam = draw(st.integers(1, level.order - 1))
+        J = Mat.diagonal(level, [lam] * n)
+        for i in range(n - 1):
+            J.set_entry(i, i + 1, int(draw(st.booleans())))
+        P_inv = P.try_inverse()
+        return J if P_inv is None else P_inv @ J @ P
+    assume(P.try_inverse() is not None)
+    return P
+
+
+def _brute_order(M):
+    """Least t with M^t = I, by stepping through the powers of the GF(p)
+    matrix of v -> v M on level^n = GF(p)^(n m)."""
+    level, n = M.level, M.nrows
+    m, p = level.m, level.p
+    B = np.zeros((n * m, n * m), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            B[i * m:(i + 1) * m, j * m:(j + 1) * m] = ff._mult_matrix(
+                M.planes[:, i, j], level)
+    eye = np.eye(n * m, dtype=np.int64)
+    acc, t = B, 1
+    while not np.array_equal(acc, eye):
+        acc = acc @ B % p
+        t += 1
+    return t
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(invertible_case())
+def test_matrix_order_matches_brute_force(M):
+    assert linalg.matrix_order(M) == _brute_order(M)
+
+
+def _drop_prime(monkeypatch, dropped, kept=0):
+    """Make _factor_int lower the exponent of one prime to `kept`."""
+    factor_int = linalg._factor_int
+
+    def dropping(n, rng):
+        out = factor_int(n, rng)
+        out[dropped] = kept
+        return {ell: v for ell, v in out.items() if v}
+
+    monkeypatch.setattr(linalg, "_factor_int", dropping)
+
+
+@pytest.mark.parametrize("p, rows, dropped, kept", [
+    (7, [[3, 0], [0, 6]], 2, 0),   # order 6, bound 6
+    (7, [[3, 0], [0, 6]], 3, 0),
+    (7, [[1, 1], [0, 1]], 7, 0),   # order 7, bound 42: the p-part
+    (7, [[2, 0], [0, 1]], 3, 0),   # order 3, bound 6
+    (5, [[2]], 2, 0),              # order 4, bound 4: no prime left
+    (5, [[2]], 2, 1),              # order 4 against 2
+    # a 4 x 4 Jordan block at 1 over GF(3): order 9 against 3
+    (3, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]], 3, 1),
+])
+def test_matrix_order_raises_when_bound_misses_a_prime(monkeypatch, p, rows,
+                                                         dropped, kept):
+    M = Mat.from_int_rows(lvl(p), rows)
+    _drop_prime(monkeypatch, dropped, kept)
+    with pytest.raises(AssertionError, match="order bound violated"):
+        linalg.matrix_order(M)
+
+
+def test_matrix_order_exact_when_dropped_prime_is_not_in_the_order(
+        monkeypatch):
+    # order 3 against the bound 6: without the 2 the order is still 3
+    M = Mat.diagonal(lvl(7), [2])
+    _drop_prime(monkeypatch, 2)
+    assert linalg.matrix_order(M) == 3
 
 
 def test_fixed_space_examples():
