@@ -359,15 +359,26 @@ class Mat:
         return acc
 
     def charpoly(self):
-        """Monic characteristic polynomial via Hessenberg reduction."""
+        """Monic characteristic polynomial via Hessenberg reduction.
+
+        Each step of the reduction also scales row j+1 by the pivot's
+        inverse and column j+1 by the pivot, so every subdiagonal entry of
+        the Hessenberg form H is 0 or 1.  The characteristic polynomials
+        p_k of its leading k x k minors then satisfy
+
+            p_k = X p_(k-1) - sum_(start <= i < k) H[i, k-1] p_i,
+
+        with start the last row i <= k - 1 whose subdiagonal entry
+        H[i, i-1] is 0 (or 0 when there is none): one plane product of a
+        column of H with the stacked coefficient planes of p_start ..
+        p_(k-1) per row (Cohen, GTM 138, 2.2.4)."""
         if self.nrows != self.ncols:
             raise InputError("charpoly needs a square matrix")
         level = self.level
         p = level.p
         n = self.nrows
-        H = self.copy()
-        planes = H.planes
-        for j in range(n - 2):
+        planes = self.planes.copy()
+        for j in range(n - 1):
             nz = planes[:, j + 1:, j].any(axis=0).nonzero()[0]
             if nz.size == 0:
                 continue
@@ -375,36 +386,34 @@ class Mat:
             if pr != j + 1:
                 planes[:, [j + 1, pr], :] = planes[:, [pr, j + 1], :]
                 planes[:, :, [j + 1, pr]] = planes[:, :, [pr, j + 1]]
-            piv = FqElement(level,
-                            tuple(int(c) for c in planes[:, j + 1, j]))
-            # factors f for rows j+2..: rows -= f (x) row_{j+1}, then the
-            # similarity's column step col_{j+1} += cols_{j+2..} @ f
-            fcol = _planes_scale(piv.inverse().coeffs,
-                                 planes[:, j + 2:, j], level)[:, :, None]
+            piv = planes[:, j + 1, j].copy()
+            planes[:, j + 1, :] = _planes_scale(
+                FqElement(level, tuple(piv.tolist())).inverse().coeffs,
+                planes[:, j + 1, :], level)
+            planes[:, :, j + 1] = _planes_scale(piv, planes[:, :, j + 1],
+                                                level)
+            if j + 2 == n:
+                break
+            # rows j+2.. -= f (x) row_{j+1} with f = their column j, then
+            # the similarity's column step col_{j+1} += cols_{j+2..} @ f
+            fcol = planes[:, j + 2:, j:j + 1].copy()
             planes[:, j + 2:, :] = (planes[:, j + 2:, :] - _planes_matmul(
                 fcol, planes[:, j + 1:j + 2, :], level)) % p
             planes[:, :, j + 1:j + 2] = (
                 planes[:, :, j + 1:j + 2]
                 + _planes_matmul(planes[:, :, j + 2:], fcol, level)) % p
-        # recurrence over leading principal minors of the Hessenberg form
-        one, zero = level.one, level.zero
-        polys = [[one]]
+        # polys[:, i] holds the coefficient planes of p_i, padded to n + 1
+        polys = np.zeros((level.m, n + 1, n + 1), dtype=np.int64)
+        polys[0, 0, 0] = 1
+        start = 0
         for k in range(1, n + 1):
-            hk = H.entry(k - 1, k - 1)
-            prev = polys[k - 1]
-            cur = [zero] + prev                      # lambda * p_{k-1}
-            cur = [c - hk * d for c, d in
-                   zip(cur, prev + [zero])]
-            run = one
-            for i in range(1, k):
-                run = run * H.entry(k - i, k - 1 - i)
-                coeff = H.entry(k - 1 - i, k - 1) * run
-                if coeff:
-                    low = polys[k - 1 - i]
-                    cur = [c - coeff * d for c, d in
-                           zip(cur, low + [zero] * (len(cur) - len(low)))]
-            polys.append(cur)
-        return PolyFq.from_coeffs(level, polys[n])
+            if k >= 2 and not planes[:, k - 1, k - 2].any():
+                start = k - 1
+            polys[:, k, 1:] = polys[:, k - 1, :n]
+            polys[:, k, :] = (polys[:, k, :] - _planes_matmul(
+                planes[:, None, start:k, k - 1], polys[:, start:k, :],
+                level)[:, 0]) % p
+        return PolyFq(level, polys[:, n, :])
 
     def minpoly_squarefree(self):
         """True when the minimal polynomial is squarefree, i.e. the matrix
@@ -597,14 +606,22 @@ class PolyFq:
         return PolyFq(self.level, self.planes[:, 1:] * mult % self.level.p)
 
     def pow_mod(self, n, modulus):
-        result = PolyFq.one_poly(self.level)
+        """self^n mod modulus by square-and-multiply.  Only self % modulus
+        divides; every product is reduced by one plane product with
+        `_reduction_table(modulus)`."""
         base = self % modulus
-        while n:
+        if n == 0:
+            return PolyFq.one_poly(self.level)
+        table = _reduction_table(modulus)
+        result = None
+        while True:
             if n & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
+                result = base if result is None else _mul_reduced(
+                    result, base, table)
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = _mul_reduced(base, base, table)
 
     def eval(self, x):
         acc = x.level.zero
@@ -613,10 +630,18 @@ class PolyFq:
         return acc
 
     def eval_mat(self, M):
+        """self(M) by Horner's rule, each coefficient added onto the
+        diagonal of acc @ M; coefficients are coerced to M's level."""
         level = M.level
+        coeffs = self.planes if self.level is level else np.array(
+            [level.element(c).coeffs for c in self.coeffs()],
+            dtype=np.int64).reshape(-1, level.m).T
         acc = Mat.zeros(level, M.nrows, M.ncols)
-        for i in range(self.planes.shape[1] - 1, -1, -1):
-            acc = acc @ M + Mat.identity(level, M.nrows) * self.coeff(i)
+        diag = np.arange(M.nrows)
+        for i in range(coeffs.shape[1] - 1, -1, -1):
+            acc = acc @ M
+            acc.planes[:, diag, diag] = (acc.planes[:, diag, diag]
+                                         + coeffs[:, i, None]) % level.p
         return acc
 
     def substitute_neg(self):
@@ -670,6 +695,9 @@ def squarefree_decomposition(f):
             e *= p
             continue
         g = f.gcd(fp)
+        if g.degree == 0:
+            out.append((f, e))
+            break
         w = f // g
         i = 1
         while w.degree > 0:
@@ -684,18 +712,58 @@ def squarefree_decomposition(f):
     return out
 
 
+def _reduce_rows(c, table, level):
+    """Rows of the plane stack c, shape (m, r, n), reduced mod the modulus
+    of `table`: X^k for k >= d is replaced by table row k - d, all in one
+    plane product.  Needs n <= d + table rows; returns shape (m, r, d)."""
+    d = table.shape[2]
+    n = c.shape[2]
+    if n <= d:
+        out = np.zeros(c.shape[:2] + (d,), dtype=np.int64)
+        out[:, :, :n] = c
+        return out
+    return (c[:, :, :d] + _planes_matmul(c[:, :, d:], table[:, :n - d],
+                                         level)) % level.p
+
+
+def _reduction_table(f):
+    """Planes (m, d - 1, d) whose row k holds X^(d+k) mod f, d = deg f:
+    with the identity rows X^0 .. X^(d-1) they reduce every product of two
+    remainders, degree <= 2d - 2.  Built from f.monic() by doubling: X^t
+    times rows 0 .. t-1 gives rows t .. 2t-1, reduced by rows 0 .. t-1."""
+    level = f.level
+    fm = f.monic()
+    d = fm.degree
+    table = (-fm.planes[:, None, :d]) % level.p
+    while table.shape[1] < d - 1:
+        t = table.shape[1]
+        shifted = np.zeros((level.m, t, d + t), dtype=np.int64)
+        shifted[:, :, t:] = table
+        table = np.concatenate(
+            [table, _reduce_rows(shifted, table, level)], axis=1)
+    return table[:, :d - 1]
+
+
+def _mul_reduced(a, b, table):
+    """a * b mod the modulus of `table`, for remainders a and b."""
+    prod = a * b
+    return PolyFq(a.level, _reduce_rows(prod.planes[:, None, :], table,
+                                        a.level)[:, 0])
+
+
 def _frobenius_map_matrix(f):
     """Rows j = coefficients of X^(qj) mod f; applying a coefficient row
     gives the q-power map on the residue ring (coefficients are q-fixed)."""
     level = f.level
     deg = f.degree
     xq = PolyFq.x(level).pow_mod(level.order, f)
+    table = _reduction_table(f)
     rows = Mat.zeros(level, deg, deg)
     cur = PolyFq.one_poly(level)
     for j in range(deg):
         rows.planes[:, j, :cur.planes.shape[1]] = cur.planes
         if j + 1 < deg:
-            cur = (cur * xq) % f
+            cur = _mul_reduced(cur, xq, table)
     return rows
 
 
@@ -859,10 +927,11 @@ def matrix_order(M, cap=10 ** 6, rng=None):
     rng = rng or _random.Random(0)
     n = M.nrows
     ident = Mat.identity(M.level, n)
-    if M.try_inverse() is None:
+    cp = M.charpoly()
+    # cp(0) = (-1)^n det M
+    if not cp.planes[:, 0].any():
         raise InputError("matrix_order needs an invertible matrix")
     q = M.level.order
-    cp = M.charpoly()
     facs = factor(cp, rng)
     if any(f.degree == 0 for f, _ in facs):  # pragma: no cover
         raise AssertionError

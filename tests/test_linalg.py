@@ -174,10 +174,24 @@ def _small_primes(t):
     return out
 
 
+class _NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used")
+
+
 def test_matrix_order_rejects_singular():
     L = lvl(3)
     with pytest.raises(InputError):
         linalg.matrix_order(Mat.zeros(L, 2, 2))
+    # singular matrices are refused before any random draw
+    L9 = lvl(3, 2)
+    a, b, c = (L9.element(i) for i in (4, 5, 7))
+    for M in [Mat.from_int_rows(L, [[1, 1], [1, 1]]),
+              Mat.from_int_rows(L, [[1, 2, 0], [0, 1, 0], [1, 0, 0]]),
+              Mat.from_entries(L9, [[a, b], [c * a, c * b]])]:
+        assert linalg.det(M) == M.level.zero
+        with pytest.raises(InputError, match="invertible"):
+            linalg.matrix_order(M, rng=_NoDraws())
 
 
 def _pow_identity_loop(M, n):
@@ -369,3 +383,224 @@ def test_poly_divmod_gcd():
     assert r.is_zero()
     assert (q * g) == f
     assert f.gcd(g) == g.monic()
+
+
+# ---------------------------------------------------------------------------
+# Characteristic polynomials, modular powers, squarefree decomposition
+# ---------------------------------------------------------------------------
+
+def _charpoly_scalar_recurrence(M):
+    """The characteristic polynomial as Mat.charpoly computed it before:
+    Hessenberg reduction without rescaling, then the leading-minor
+    recurrence one FqElement at a time with running subdiagonal
+    products."""
+    level = M.level
+    p = level.p
+    n = M.nrows
+    H = M.copy()
+    planes = H.planes
+    for j in range(n - 2):
+        nz = planes[:, j + 1:, j].any(axis=0).nonzero()[0]
+        if nz.size == 0:
+            continue
+        pr = j + 1 + int(nz[0])
+        if pr != j + 1:
+            planes[:, [j + 1, pr], :] = planes[:, [pr, j + 1], :]
+            planes[:, :, [j + 1, pr]] = planes[:, :, [pr, j + 1]]
+        piv = H.entry(j + 1, j)
+        fcol = linalg._planes_scale(piv.inverse().coeffs,
+                                    planes[:, j + 2:, j], level)[:, :, None]
+        planes[:, j + 2:, :] = (planes[:, j + 2:, :] - linalg._planes_matmul(
+            fcol, planes[:, j + 1:j + 2, :], level)) % p
+        planes[:, :, j + 1:j + 2] = (
+            planes[:, :, j + 1:j + 2]
+            + linalg._planes_matmul(planes[:, :, j + 2:], fcol, level)) % p
+    one, zero = level.one, level.zero
+    polys = [[one]]
+    for k in range(1, n + 1):
+        hk = H.entry(k - 1, k - 1)
+        prev = polys[k - 1]
+        cur = [c - hk * d for c, d in zip([zero] + prev, prev + [zero])]
+        run = one
+        for i in range(1, k):
+            run = run * H.entry(k - i, k - 1 - i)
+            coeff = H.entry(k - 1 - i, k - 1) * run
+            if coeff:
+                low = polys[k - 1 - i]
+                cur = [c - coeff * d for c, d in
+                       zip(cur, low + [zero] * (len(cur) - len(low)))]
+        polys.append(cur)
+    return PolyFq.from_coeffs(level, polys[n])
+
+
+@st.composite
+def square_case(draw, fields):
+    """An n x n matrix, n <= 8, over one of `fields`: random, sparse (so
+    the Hessenberg form meets zero pivots), block upper triangular (a zero
+    subdiagonal entry survives the reduction) or diagonal."""
+    level = _order_level(*draw(st.sampled_from(fields)))
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["random", "sparse", "block", "diagonal"]))
+    elems = st.integers(0, level.order - 1)
+    cut = draw(st.integers(0, n))
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            zero = (kind == "diagonal" and i != j
+                    or kind == "block" and i >= cut > j
+                    or kind == "sparse" and draw(st.integers(0, 3)) > 0)
+            row.append(0 if zero else draw(elems))
+        rows.append(row)
+    return Mat.from_entries(level, rows) if n else Mat.zeros(level, 0, 0)
+
+
+CHARPOLY_SETTINGS = settings(
+    max_examples=150, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow])
+
+
+@CHARPOLY_SETTINGS
+@given(square_case([(2, 1), (3, 1), (5, 1), (7, 1), (11, 1)]))
+def test_charpoly_matches_sympy_over_prime_fields(M):
+    import sympy
+    p, n = M.level.p, M.nrows
+    want = sympy.Matrix(n, n, M.planes[0].ravel().tolist()).charpoly()
+    want = [int(c) % p for c in reversed(want.all_coeffs())]
+    assert [c.to_int() for c in M.charpoly().coeffs()] == want
+
+
+@CHARPOLY_SETTINGS
+@given(square_case([(3, 2), (5, 2), (2, 3), (7, 2)]))
+def test_charpoly_matches_scalar_recurrence(M):
+    cp = M.charpoly()
+    assert cp == _charpoly_scalar_recurrence(M)
+    assert cp.degree == M.nrows and cp.leading() == M.level.one
+
+
+def _pow_mod_divmod_loop(f, n, modulus):
+    """The loop PolyFq.pow_mod ran before: a full division after every
+    product."""
+    result = PolyFq.one_poly(f.level)
+    base = f % modulus
+    while n:
+        if n & 1:
+            result = (result * base) % modulus
+        base = (base * base) % modulus
+        n >>= 1
+    return result
+
+
+def _random_poly(level, deg, rng, monic=False):
+    coeffs = [rng.randrange(level.order) for _ in range(deg)]
+    coeffs.append(1 if monic else rng.randrange(1, level.order))
+    return PolyFq.from_coeffs(
+        level, [ff._int_to_coeffs(c, level.p, level.m) for c in coeffs])
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (7, 1), (3, 2), (2, 3), (5, 2)])
+def test_pow_mod_matches_divmod_loop(p, e):
+    L = lvl(p, e)
+    rng = random.Random(31 * p + e)
+    for _ in range(24):
+        d = rng.randrange(1, 9)
+        modulus = _random_poly(L, d, rng, monic=rng.random() < 0.3)
+        # bases of degree below, at and well above the modulus's
+        base = _random_poly(L, rng.randrange(0, 2 * d + 4), rng)
+        for n in [0, 1, 2, 3, rng.randrange(4, 10 ** 6), L.order ** d]:
+            got = base.pow_mod(n, modulus)
+            assert got == _pow_mod_divmod_loop(base, n, modulus), (d, n)
+        # rows X^(qj) mod f of the Frobenius map matrix
+        frob = linalg._frobenius_map_matrix(modulus)
+        x = PolyFq.x(L)
+        for j in range(d):
+            want = _pow_mod_divmod_loop(x, L.order * j, modulus)
+            assert PolyFq(L, frob.planes[:, j, :].copy()) == want
+
+
+def test_charpoly_and_pow_mod_product_counts(monkeypatch):
+    """charpoly: at most four plane products per Hessenberg step and one
+    per row of the recurrence, and no FqElement sums or products; pow_mod:
+    one division, for self % modulus."""
+    calls = []
+    kernel = linalg._planes_matmul
+
+    def counting(a, b, level):
+        calls.append(1)
+        return kernel(a, b, level)
+
+    def scalar_arith(*args):
+        raise AssertionError("FqElement arithmetic")
+
+    rng = random.Random(4)
+    cases = []
+    for L in (lvl(7), lvl(3, 2)):
+        for n in [1, 2, 3, 5, 8, 13, 21, 30]:
+            M = Mat.random(L, n, n, rng)
+            cases.append((M, M.charpoly()))
+    monkeypatch.setattr(linalg, "_planes_matmul", counting)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__neg__"):
+        monkeypatch.setattr(ff.FqElement, name, scalar_arith)
+    for M, want in cases:
+        calls.clear()
+        assert M.charpoly() == want
+        assert len(calls) <= 4 * (M.nrows - 1) + M.nrows, M.nrows
+    monkeypatch.undo()
+
+    divisions = []
+    divmod_ = PolyFq.__divmod__
+
+    def counting_divmod(a, b):
+        divisions.append(1)
+        return divmod_(a, b)
+
+    monkeypatch.setattr(PolyFq, "__divmod__", counting_divmod)
+    monkeypatch.setattr(linalg, "_planes_matmul", counting)
+    for L in (lvl(7), lvl(3, 2)):
+        for d in [1, 2, 3, 5, 9, 17]:
+            modulus = _random_poly(L, d, rng, monic=True)
+            base = _random_poly(L, d - 1, rng)
+            for n in [5, 2 ** 40 + 3, L.order ** d]:
+                divisions.clear()
+                calls.clear()
+                base.pow_mod(n, modulus)
+                assert len(divisions) == 1
+                # the table's doublings, two products per step (the
+                # reduced base skips the division's products)
+                steps = n.bit_length() - 1 + bin(n).count("1") - 1
+                assert len(calls) <= max(d - 2, 0).bit_length() + 2 * steps
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_squarefree_decomposition_matches_sympy(p):
+    from sympy import ZZ
+    from sympy.polys.galoistools import gf_sqf_list
+    L = lvl(p)
+    rng = random.Random(p)
+    for _ in range(40):
+        f = _random_poly(L, 0, rng)
+        for _ in range(rng.randrange(1, 4)):
+            g = _random_poly(L, rng.randrange(1, 4), rng)
+            for _ in range(rng.choice([1, 1, 2, 3, p, p + 1, 2 * p])):
+                f = f * g
+        got = sorted(([c.to_int() for c in g.coeffs()], k)
+                     for g, k in linalg.squarefree_decomposition(f))
+        _, want = gf_sqf_list([c.to_int() for c in reversed(f.coeffs())],
+                              p, ZZ)
+        want = sorted(([int(c) for c in reversed(g)], k) for g, k in want)
+        assert got == want
+
+
+def test_eval_mat_coerces_coefficients_to_the_matrix_level():
+    L1 = lvl(3, 1, 1)
+    L1.tower.extend(2)
+    L2 = L1.tower.level(2)
+    f = PolyFq.from_coeffs(L1, [2, 1, 0, 1])
+    M = Mat.random(L2, 3, 3, random.Random(2))
+    want = Mat.zeros(L2, 3, 3)
+    for c in reversed(f.coeffs()):
+        want = want @ M + Mat.identity(L2, 3) * c
+    got = f.eval_mat(M)
+    assert got.level is L2 and got == want
+    assert PolyFq.zero(L1).eval_mat(M).is_zero()
