@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, InputError, RecognitionError
 from .ff import FqElement, _check_word_size
-from .linalg import Mat, _planes_matmul, factor
+from .linalg import Mat, _eliminate, _planes_matmul, factor
 
 log = logging.getLogger(__name__)
 
@@ -233,12 +233,8 @@ class Subalgebra:
     def dim(self):
         return self.basis.nrows
 
-    def contains(self, vec):
-        return self.basis.in_row_space(vec)
-
     def contains_space(self, other):
-        return all(self.basis.in_row_space(other.basis.row(i))
-                   for i in range(other.basis.nrows))
+        return self.basis.solve_left(other.basis) is not None
 
     def is_abelian(self):
         B = self.basis
@@ -246,15 +242,6 @@ class Subalgebra:
             A = self.parent.ad(B.row(i))
             if not (B @ A).is_zero():
                 return False
-        return True
-
-    def is_closed(self):
-        B = self.basis
-        for i in range(B.nrows):
-            prods = B @ self.parent.ad(B.row(i))
-            for j in range(prods.nrows):
-                if not self.basis.in_row_space(prods.row(j)):
-                    return False
         return True
 
     def restricted_algebra(self):
@@ -319,8 +306,7 @@ class CentralQuotient:
 
     def __init__(self, L, z_rows):
         self.L = L
-        self.z = z_rows.row_space()
-        R, pivots = self.z.rref()
+        R, pivots = z_rows.rref()
         self.z = R.take_rows(range(len(pivots)))
         self.pivots = pivots
         self.comp = [c for c in range(L.dim) if c not in pivots]
@@ -746,25 +732,12 @@ def _descent_solver(src, level):
     if solver is not None:
         return solver
     emb = src.embed_from[level.r] % level.p
-    p = level.p
-    m_src, m_dst = emb.shape
-    aug = np.concatenate([emb, np.eye(m_src, dtype=np.int64)], axis=1) % p
-    r = 0
-    pivots = []
-    for c in range(m_dst):
-        nz = [i for i in range(r, m_src) if aug[i, c] % p]
-        if not nz:
-            continue
-        aug[[r, nz[0]]] = aug[[nz[0], r]]
-        inv = pow(int(aug[r, c]), p - 2, p)
-        aug[r] = aug[r] * inv % p
-        for i in range(m_src):
-            if i != r and aug[i, c] % p:
-                aug[i] = (aug[i] - aug[i, c] * aug[r]) % p
-        pivots.append(c)
-        r += 1
-    solver = (np.array(pivots, dtype=np.intp), aug[:r, :m_dst],
-              aug[:r, m_dst:])
+    m_low, m_high = emb.shape
+    aug = np.concatenate([emb, np.eye(m_low, dtype=np.int64)], axis=1)
+    pivots = _eliminate(aug[None], level.tower.prime_level())[0]
+    r = sum(c < m_high for c in pivots)
+    solver = (np.array(pivots[:r], dtype=np.intp), aug[:r, :m_high],
+              aug[:r, m_high:])
     return src._descents.setdefault(level.r, solver)
 
 
@@ -889,18 +862,22 @@ def root_decomposition(L, H):
                     raise InputError("H is not split: nonlinear eigenvalue")
                 lam = -g.coeff(0)
                 ker = g.eval_mat(Ar).left_kernel()
-                assert ker.nrows == mult, "ad h not diagonalizable"
+                if ker.nrows != mult:
+                    raise AssertionError("ad h not diagonalizable")
                 fresh.append((weights + (lam,), (ker @ W).row_space()))
         spaces = fresh
     out = {}
     for weights, W in spaces:
         if all(not w for w in weights):
-            assert W.row_space() == H.basis, "zero weight space exceeds H"
+            if W.row_space() != H.basis:
+                raise AssertionError("zero weight space exceeds H")
             continue
-        assert W.nrows == 1, "root space dimension exceeds one"
+        if W.nrows != 1:
+            raise AssertionError("root space dimension exceeds one")
         out[weights] = W
     if L.rd is not None:
-        assert len(out) == L.rd.num_roots, "root line count mismatch"
+        if len(out) != L.rd.num_roots:
+            raise AssertionError("root line count mismatch")
     return out
 
 
@@ -1050,15 +1027,6 @@ def _try_chevalley(L, rd, rng, budgets):
     level = L.level
     n = rd.n
 
-    def weight_of(ridx):
-        c = rd.coords[ridx]
-        w = None
-        for i, ci in enumerate(c):
-            if ci:
-                term = _weight_scale(simples[i], ci)
-                w = term if w is None else _weight_tuple_add(w, term)
-        return w
-
     e_rows = {}
     h_alpha = {}
     two = level.element(2)
@@ -1074,8 +1042,10 @@ def _try_chevalley(L, rd, rng, budgets):
             if ec:
                 a = t.entry(0, c) / (two * ec)
                 break
-        assert a is not None and a, "degenerate sl2 normalization"
-        assert t == e * (two * a), "sl2 relation failed"
+        if a is None or not a:
+            raise AssertionError("degenerate sl2 normalization")
+        if t != e * (two * a):
+            raise AssertionError("sl2 relation failed")
         eneg = f * a.inverse()
         e_rows[ridx] = e
         e_rows[rd.neg(ridx)] = eneg
@@ -1134,13 +1104,15 @@ def _solve_h_basis(L, rd, H, lines, simples, h_alpha):
             rhs.set_entry(0, base + i * l + j,
                           level.element(P[j][i] % level.p))
     sol = sysm.solve_left(rhs)
-    assert sol is not None, "h-basis system inconsistent"
+    if sol is None:
+        raise AssertionError("h-basis system inconsistent")
     rows = []
     for i in range(n):
         coeff = sol.take_cols(range(i * k, (i + 1) * k))
         rows.append(coeff @ Hb)
     h_rows = Mat.vstack(rows)
-    assert h_rows.row_space().nrows == n, "h_i do not form a basis"
+    if h_rows.row_space().nrows != n:
+        raise AssertionError("h_i do not form a basis")
     return h_rows
 
 
@@ -1213,13 +1185,14 @@ def random_inner_automorphism(L, rd, rng, word_length=6):
         N = L.ad(_unit(L, rd.n + ridx)) * t
         N2 = N @ N
         N3 = N2 @ N
-        assert (N3 @ N).is_zero(), "ad e_alpha is not 4-step nilpotent"
+        if not (N3 @ N).is_zero():
+            raise AssertionError("ad e_alpha is not 4-step nilpotent")
         expN = Mat.identity(level, d) + N + N2 * inv2 + N3 * inv6
         g = g @ expN
     # verify: transporting the bracket along g reproduces the tensor
     Lg = scramble_basis(L, g, check=False)
-    assert np.array_equal(Lg.tensor, L.tensor), \
-        "automorphism fails bracket preservation"
+    if not np.array_equal(Lg.tensor, L.tensor):
+        raise AssertionError("automorphism fails bracket preservation")
     return g
 
 

@@ -261,37 +261,24 @@ class Mat:
     def rref(self):
         """Reduced row echelon form; returns (R, pivot column list)."""
         R = self.copy()
-        level = self.level
-        planes = R.planes
-        pivots = []
-        rank = 0
-        for col in range(R.ncols):
-            if rank == R.nrows:
-                break
-            nz = planes[:, rank:, col].any(axis=0).nonzero()[0]
-            if nz.size == 0:
-                continue
-            pr = rank + int(nz[0])
-            if pr != rank:
-                planes[:, [rank, pr], :] = planes[:, [pr, rank], :]
-            piv = FqElement(level, tuple(int(c) for c in planes[:, rank, col]))
-            planes[:, rank, :] = _planes_scale(piv.inverse().coeffs,
-                                               planes[:, rank, :], level)
-            _eliminate_col(planes, rank, col, level)
-            pivots.append(col)
-            rank += 1
+        pivots = _echelon_pivots(R.planes)
+        if pivots is None:
+            pivots = _eliminate(R.planes, self.level)[0]
         return R, pivots
 
     def rank(self):
         return len(self.rref()[1])
 
     def row_space(self):
-        """Canonical basis (nonzero rref rows) of the row space."""
+        """Canonical basis (nonzero rref rows) of the row space; self
+        itself when it is one already."""
+        if _echelon_pivots(self.planes) is not None:
+            return self
         R, pivots = self.rref()
         return R.take_rows(range(len(pivots)))
 
     def left_kernel(self):
-        """Rows v with v @ self = 0."""
+        """Rows v with v @ self = 0, in reduced echelon form."""
         aug = Mat.hstack([self, Mat.identity(self.level, self.nrows)])
         R, _ = aug.rref()
         left = R.take_cols(range(self.ncols))
@@ -301,7 +288,13 @@ class Mat:
             range(self.ncols, self.ncols + self.nrows))
 
     def solve_left(self, rhs):
-        """X with X @ self = rhs, or None when inconsistent."""
+        """X with X @ self = rhs, or None when inconsistent.  When self is
+        in reduced echelon form with no zero row, X is rhs at the pivot
+        columns."""
+        pivots = _echelon_pivots(self.planes)
+        if pivots is not None:
+            coeff = rhs.take_cols(pivots)
+            return coeff if coeff @ self == rhs else None
         aug = Mat.hstack([self, Mat.identity(self.level, self.nrows)])
         R, pivots = aug.rref()
         pivots = [c for c in pivots if c < self.ncols]
@@ -333,30 +326,19 @@ class Mat:
         return inv
 
     def det(self):
+        """Signed product of the pivots met by `_eliminate`: swaps negate
+        the determinant, scaling a row by 1/a divides it by a, and adding
+        multiples of the pivot row leaves it alone."""
         if self.nrows != self.ncols:
             raise InputError("det needs a square matrix")
         level = self.level
-        work = self.copy()
-        planes = work.planes
-        n = self.nrows
-        sign_flip = 0
+        pivots, leads, swaps = _eliminate(self.planes.copy(), level)
+        if len(pivots) < self.nrows:
+            return level.zero
         acc = level.one
-        for col in range(n):
-            nz = planes[:, col:, col].any(axis=0).nonzero()[0]
-            if nz.size == 0:
-                return level.zero
-            pr = col + int(nz[0])
-            if pr != col:
-                planes[:, [col, pr], :] = planes[:, [pr, col], :]
-                sign_flip ^= 1
-            piv = FqElement(level, tuple(int(c) for c in planes[:, col, col]))
-            acc = acc * piv
-            planes[:, col, :] = _planes_scale(piv.inverse().coeffs,
-                                              planes[:, col, :], level)
-            _eliminate_col(planes, col, col, level, below_only=True)
-        if sign_flip:
-            acc = -acc
-        return acc
+        for a in leads:
+            acc = acc * a
+        return -acc if swaps & 1 else acc
 
     def charpoly(self):
         """Monic characteristic polynomial via Hessenberg reduction.
@@ -423,18 +405,85 @@ class Mat:
         return rad.eval_mat(self).is_zero()
 
 
-def _eliminate_col(planes, prow, col, level, below_only=False):
-    """Clear column col against the (already normalized) pivot row."""
-    mask = planes[:, :, col].any(axis=0)
-    mask[prow] = False
-    if below_only:
-        mask[:prow + 1] = False
-    rows = np.nonzero(mask)[0]
-    if rows.size == 0:
-        return
-    upd = _planes_matmul(planes[:, rows, col][:, :, None],
-                         planes[:, prow:prow + 1, :], level)
-    planes[:, rows, :] = (planes[:, rows, :] - upd) % level.p
+def _echelon_pivots(planes):
+    """Pivot columns of a plane stack already in reduced row echelon form
+    with no zero row, or None when it is not one: the leading columns
+    strictly increase, every other plane is zero at them, and plane 0 is
+    the identity there (r nonzero residues, all of them 1 on the diagonal,
+    which also rules out a zero row)."""
+    m, r, n = planes.shape
+    if r > n:
+        return None
+    if r == 0:
+        return []
+    nz = planes[0] != 0 if m == 1 else planes.any(axis=0)
+    lead = nz.argmax(axis=1).tolist()
+    if any(a >= b for a, b in zip(lead, lead[1:])):
+        return None
+    at = planes[:, :, lead]
+    if m > 1 and at[1:].any():
+        return None
+    if np.count_nonzero(at[0]) != r or np.count_nonzero(at[0].diagonal() - 1):
+        return None
+    return lead
+
+
+def _eliminate(planes, level):
+    """Gauss-Jordan elimination of a plane stack in place, leaving its
+    reduced row echelon form.  Returns (pivots, leads, swaps): the pivot
+    columns, each pivot's value before it was scaled to 1 (an int mod p at
+    m = 1, else an FqElement) and the number of row swaps.
+
+    Rows at or below the current rank are zero left of the current column,
+    so swaps, scaling and updates touch only the columns from it on.  At
+    m = 1 the inverse is one pow(a, -1, p) and the update one np.outer of
+    the column's nonzero entries with the pivot row, each product below
+    (p-1)^2, so p must pass the same word-size bound as a plane product;
+    at m >= 2 scaling and the update are plane products."""
+    m, nrows, ncols = planes.shape
+    p = level.p
+    pivots, leads, swaps = [], [], 0
+    if m == 1:
+        _check_word_size(1, p, 1)
+    a = planes[0]
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        colv = planes[:, :, col].any(axis=0) if m > 1 else a[:, col]
+        nz = colv[rank:].nonzero()[0]
+        if nz.size == 0:
+            continue
+        pr = rank + int(nz[0])
+        if pr != rank:
+            planes[:, [rank, pr], col:] = planes[:, [pr, rank], col:]
+            swaps += 1
+        if m == 1:
+            lead = int(a[rank, col])
+            row = a[rank, col:] * pow(lead, -1, p) % p
+            a[rank, col:] = row
+            f = a[:, col].copy()
+            f[rank] = 0
+            rows = f.nonzero()[0]
+            if rows.size:
+                a[rows, col:] = (a[rows, col:]
+                                 - np.outer(f[rows], row)) % p
+        else:
+            lead = FqElement(level,
+                             tuple(int(c) for c in planes[:, rank, col]))
+            row = _planes_scale(lead.inverse().coeffs,
+                                planes[:, rank:rank + 1, col:], level)
+            planes[:, rank:rank + 1, col:] = row
+            f = planes[:, :, col].copy()
+            f[:, rank] = 0
+            rows = f.any(axis=0).nonzero()[0]
+            if rows.size:
+                upd = _planes_matmul(f[:, rows, None], row, level)
+                planes[:, rows, col:] = (planes[:, rows, col:] - upd) % p
+        leads.append(lead)
+        pivots.append(col)
+        rank += 1
+    return pivots, leads, swaps
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +591,6 @@ class PolyFq:
         return PolyFq(self.level,
                       _planes_scale(s.coeffs, self.planes, self.level))
 
-    def shift(self, k):
-        """Multiply by X^k."""
-        if self.is_zero():
-            return self
-        planes = np.zeros((self.level.m, self.planes.shape[1] + k),
-                          dtype=np.int64)
-        planes[:, k:] = self.planes
-        return PolyFq(self.level, planes)
-
     def __divmod__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -622,12 +662,6 @@ class PolyFq:
             if not n:
                 return result
             base = _mul_reduced(base, base, table)
-
-    def eval(self, x):
-        acc = x.level.zero
-        for i in range(self.planes.shape[1] - 1, -1, -1):
-            acc = acc * x + self.coeff(i)
-        return acc
 
     def eval_mat(self, M):
         """self(M) by Horner's rule, each coefficient added onto the

@@ -236,9 +236,6 @@ class RootDatum:
     def neg(self, i):
         return i + self.num_pos if i < self.num_pos else i - self.num_pos
 
-    def is_positive(self, i):
-        return i < self.num_pos
-
     def height(self, i):
         return self._heights[i]
 
@@ -456,11 +453,6 @@ class RootDatum:
         for letter, rank in self.components:
             out.extend(_DEGREES[letter](rank))
         return sorted(out)
-
-    def coxeter_number(self):
-        if len(self.components) != 1:
-            raise InputError("Coxeter number needs an irreducible type")
-        return max(self.degrees())
 
     def weyl_elements_array(self, allow_large=False):
         """All Weyl elements as an array of root permutations."""

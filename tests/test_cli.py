@@ -120,26 +120,41 @@ def test_lang_degree_past_word_size_is_input_error(capsys):
     assert "2147483647" in err and "Traceback" not in err
 
 
-def test_lang_output_same_under_python_optimize():
-    # python -O strips assert statements; the solution level 5^8 has no
-    # exp/log tables, so inverses go through the norm and the norm's order
-    # through matrix_order, whose checks must not depend on asserts
+def _outputs_with_and_without_optimize(argv):
     import langchev
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(langchev.__file__))]
         + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    argv = ["-m", "langchev.cli", "lang", "--group", "GL", "--p", "5",
-            "--c", "[[0,1],[3,0]]", "--seed", "1", "--output", "json"]
     outs = []
     for flags in ([], ["-O"]):
-        done = subprocess.run([sys.executable, *flags, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = subprocess.run([sys.executable, *flags, "-m", "langchev.cli",
+                               *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         outs.append(done.stdout)
+    return outs
+
+
+def test_lang_output_same_under_python_optimize():
+    # python -O strips assert statements; the solution level 5^8 has no
+    # exp/log tables, so inverses go through the norm and the norm's order
+    # through matrix_order, whose checks must not depend on asserts
+    outs = _outputs_with_and_without_optimize(
+        ["lang", "--group", "GL", "--p", "5", "--c", "[[0,1],[3,0]]",
+         "--seed", "1", "--output", "json"])
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["level"] == "5^(1*8)"
     assert hashlib.sha256(outs[0].encode()).hexdigest().startswith(
         "8ae1dab9f169")
+
+
+def test_chevalley_output_same_under_python_optimize():
+    # the recognition's own checks (root lines, sl2 normalization, the
+    # h-basis system) raise explicitly, so -O runs the same code
+    outs = _outputs_with_and_without_optimize(
+        ["chevalley", "--type", "B3", "--p", "7", "--seed", "1"])
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["verdict"] is True
 
 
 def test_chevalley_char_guard():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -604,3 +605,285 @@ def test_eval_mat_coerces_coefficients_to_the_matrix_level():
     got = f.eval_mat(M)
     assert got.level is L2 and got == want
     assert PolyFq.zero(L1).eval_mat(M).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# One elimination routine against the per-pivot oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_eliminate_col(planes, prow, col, level, below_only=False):
+    mask = planes[:, :, col].any(axis=0)
+    mask[prow] = False
+    if below_only:
+        mask[:prow + 1] = False
+    rows = np.nonzero(mask)[0]
+    if rows.size == 0:
+        return
+    upd = linalg._planes_matmul(planes[:, rows, col][:, :, None],
+                                planes[:, prow:prow + 1, :], level)
+    planes[:, rows, :] = (planes[:, rows, :] - upd) % level.p
+
+
+def _oracle_rref(M):
+    """The per-pivot Gauss-Jordan loop: one FqElement inverse, one
+    whole-row scale and one whole-row update per pivot."""
+    R = M.copy()
+    level, planes = M.level, R.planes
+    pivots = []
+    rank = 0
+    for col in range(R.ncols):
+        if rank == R.nrows:
+            break
+        nz = planes[:, rank:, col].any(axis=0).nonzero()[0]
+        if nz.size == 0:
+            continue
+        pr = rank + int(nz[0])
+        if pr != rank:
+            planes[:, [rank, pr], :] = planes[:, [pr, rank], :]
+        piv = ff.FqElement(level, tuple(int(c) for c in planes[:, rank, col]))
+        planes[:, rank, :] = linalg._planes_scale(piv.inverse().coeffs,
+                                                  planes[:, rank, :], level)
+        _oracle_eliminate_col(planes, rank, col, level)
+        pivots.append(col)
+        rank += 1
+    return R, pivots
+
+
+def _oracle_augmented(M):
+    return _oracle_rref(Mat.hstack([M, Mat.identity(M.level, M.nrows)]))
+
+
+def _oracle_row_space(M):
+    R, pivots = _oracle_rref(M)
+    return R.take_rows(range(len(pivots)))
+
+
+def _oracle_left_kernel(M):
+    R, _ = _oracle_augmented(M)
+    left = R.take_cols(range(M.ncols))
+    idx = [i for i in range(M.nrows) if not left.planes[:, i, :].any()]
+    return R.take_rows(idx).take_cols(range(M.ncols, M.ncols + M.nrows))
+
+
+def _oracle_solve_left(M, rhs):
+    R, pivots = _oracle_augmented(M)
+    pivots = [c for c in pivots if c < M.ncols]
+    rank = len(pivots)
+    body = R.take_rows(range(rank)).take_cols(range(M.ncols))
+    tail = R.take_rows(range(rank)).take_cols(
+        range(M.ncols, M.ncols + M.nrows))
+    coeff = rhs.take_cols(pivots)
+    if not (coeff @ body) == rhs:
+        return None
+    return coeff @ tail
+
+
+def _oracle_try_inverse(M):
+    R, pivots = _oracle_augmented(M)
+    if pivots != list(range(M.nrows)):
+        return None
+    return R.take_cols(range(M.nrows, 2 * M.nrows))
+
+
+def _oracle_det(M):
+    """The below-only elimination loop, with a running product of the
+    pivots and a sign per swap."""
+    level = M.level
+    planes = M.planes.copy()
+    n = M.nrows
+    acc, flips = level.one, 0
+    for col in range(n):
+        nz = planes[:, col:, col].any(axis=0).nonzero()[0]
+        if nz.size == 0:
+            return level.zero
+        pr = col + int(nz[0])
+        if pr != col:
+            planes[:, [col, pr], :] = planes[:, [pr, col], :]
+            flips ^= 1
+        piv = ff.FqElement(level, tuple(int(c) for c in planes[:, col, col]))
+        acc = acc * piv
+        planes[:, col, :] = linalg._planes_scale(piv.inverse().coeffs,
+                                                 planes[:, col, :], level)
+        _oracle_eliminate_col(planes, col, col, level, below_only=True)
+    return -acc if flips else acc
+
+
+# GF(5), GF(7) (m = 1), GF(7^2) and GF(5^3) (m >= 2) as (p, e, r)
+ELIM_FIELDS = [(5, 1, 1), (7, 1, 1), (7, 2, 1), (5, 1, 3)]
+REDUCED_KINDS = ["reduced", "identity"]
+NEAR_MISSES = ["lead2", "pivot_col", "plane1", "zero_row", "swapped", "tall"]
+ELIM_KINDS = (["random", "deficient", "zero", "wide", "tall_random"]
+              + REDUCED_KINDS + NEAR_MISSES)
+
+
+def _elim_input(field, kind, nrows, ncols, seed):
+    """A matrix of the given kind, or None when the shape cannot carry
+    it (the near-misses need a reduced matrix with enough rows)."""
+    L = lvl(*field)
+    rng = random.Random(seed)
+    if kind == "zero":
+        return Mat.zeros(L, nrows, ncols)
+    if kind == "identity":
+        return Mat.identity(L, nrows)
+    if kind == "wide":
+        return Mat.random(L, nrows, nrows + ncols + 1, rng)
+    if kind == "tall_random":
+        return Mat.random(L, nrows + ncols + 1, ncols, rng)
+    if kind == "deficient":
+        k = rng.randrange(min(nrows, ncols) + 1)
+        return Mat.random(L, nrows, k, rng) @ Mat.random(L, k, ncols, rng)
+    M = Mat.random(L, nrows, ncols, rng)
+    if kind == "random":
+        return M
+    B = _oracle_row_space(M)
+    if kind == "reduced":
+        return B
+    if B.nrows == 0:
+        return None
+    _, pivots = _oracle_rref(B)
+    i = rng.randrange(B.nrows)
+    if kind == "lead2":
+        return B * 2
+    if kind == "zero_row":
+        return Mat.vstack([B, Mat.zeros(L, 1, B.ncols)])
+    if kind == "tall":
+        return Mat.vstack([B, Mat.random(L, B.ncols + 1 - B.nrows + i,
+                                         B.ncols, rng)])
+    if B.nrows < 2:
+        if kind == "plane1" and L.m > 1:
+            B.planes[1, 0, pivots[0]] = 1
+            return B
+        return None
+    j = (i + 1 + rng.randrange(B.nrows - 1)) % B.nrows
+    if kind == "swapped":
+        return B.take_rows([j if t == i else i if t == j else t
+                            for t in range(B.nrows)])
+    if kind == "pivot_col":
+        B.planes[0, i, pivots[j]] = 1 + rng.randrange(L.p - 1)
+        return B
+    if L.m == 1:
+        return None
+    B.planes[1, i, pivots[j]] = 1 + rng.randrange(L.p - 1)
+    return B
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(st.sampled_from(ELIM_FIELDS), st.sampled_from(ELIM_KINDS),
+       st.integers(0, 6), st.integers(0, 6), st.integers(0, 2 ** 32))
+def test_elimination_matches_per_pivot_oracle(field, kind, nrows, ncols,
+                                              seed):
+    M = _elim_input(field, kind, nrows, ncols, seed)
+    assume(M is not None)
+    L = M.level
+    rng = random.Random(seed + 1)
+    # reduced inputs take the shortcut, near-misses the elimination loop
+    reduced = linalg._echelon_pivots(M.planes)
+    if kind in REDUCED_KINDS:
+        assert reduced is not None
+    if kind in NEAR_MISSES:
+        assert reduced is None
+    before = M.copy()
+
+    R, pivots = M.rref()
+    want_R, want_pivots = _oracle_rref(M)
+    assert R == want_R and pivots == want_pivots
+    assert R is not M and M.rank() == len(want_pivots)
+    assert M.row_space() == _oracle_row_space(M)
+    assert M.left_kernel() == _oracle_left_kernel(M)
+    consistent = Mat.random(L, 2, M.nrows, rng) @ M
+    arbitrary = Mat.random(L, 2, M.ncols, rng)
+    for rhs in (consistent, arbitrary):
+        got, want = M.solve_left(rhs), _oracle_solve_left(M, rhs)
+        assert (got is None) if want is None else (got == want)
+    assert M.solve_left(consistent) is not None
+    if M.nrows == M.ncols:
+        inv, want = M.try_inverse(), _oracle_try_inverse(M)
+        assert (inv is None) if want is None else (inv == want)
+        assert M.det() == _oracle_det(M)
+    assert M == before
+
+
+def test_elimination_shortcut_and_kernel_contract():
+    L = lvl(7)
+    B = Mat.from_int_rows(L, [[1, 2, 0, 3], [0, 0, 1, 4]])
+    assert linalg._echelon_pivots(B.planes) == [0, 2]
+    assert B.row_space() is B
+    R, pivots = B.rref()
+    assert R == B and R is not B and pivots == [0, 2]
+    # inconsistent right-hand sides are refused by the same check
+    assert B.solve_left(Mat.from_int_rows(L, [[1, 2, 0, 0]])) is None
+    assert B.solve_left(Mat.from_int_rows(L, [[3, 6, 5, 1]])) == \
+        Mat.from_int_rows(L, [[3, 5]])
+    # the kernel basis is in reduced echelon form, and so a fixed point
+    M = Mat.random(L, 9, 4, random.Random(3))
+    K = M.left_kernel()
+    assert K.nrows == 5 and (K @ M).is_zero()
+    assert K.row_space() is K
+
+
+def test_det_sign_and_pivot_product():
+    for field in ELIM_FIELDS:
+        L = lvl(*field)
+        rng = random.Random(field[0] * 10 + field[2])
+        for n in range(6):
+            M = Mat.random(L, n, n, rng)
+            P = Mat.identity(L, n).take_rows(rng.sample(range(n), n))
+            assert M.det() == _oracle_det(M)
+            assert (P @ M).det() == _oracle_det(P @ M)
+            assert (P @ M).det() in (M.det(), -M.det())
+
+
+def _int_rref(rows, p):
+    """Gauss-Jordan on lists of Python ints mod p."""
+    a = [[x % p for x in row] for row in rows]
+    pivots, rank = [], 0
+    for col in range(len(a[0]) if a else 0):
+        pr = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pr is None:
+            continue
+        a[rank], a[pr] = a[pr], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        pivots.append(col)
+        rank += 1
+    return a, pivots
+
+
+def _primes_around_word_bound():
+    """The largest prime p with (p-1)^2 < 2^63 and the next prime."""
+    root = math.isqrt((1 << 63) - 1) + 1
+    below = root
+    while not ff.is_prime(below):
+        below -= 1
+    above = root + 1
+    while not ff.is_prime(above):
+        above += 1
+    assert (below - 1) ** 2 < 1 << 63 <= (above - 1) ** 2
+    return below, above
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2 ** 32))
+def test_gfp_elimination_word_size_envelope(nrows, ncols, seed):
+    below, above = _primes_around_word_bound()
+    rng = random.Random(seed)
+    L = lvl(below)
+    rows = [[rng.randrange(below) for _ in range(ncols)]
+            for _ in range(nrows)]
+    M = Mat.from_int_rows(L, rows)
+    R, pivots = M.rref()
+    want, want_pivots = _int_rref(rows, below)
+    assert pivots == want_pivots
+    assert R.planes[0].tolist() == want
+    rows[0][0] = 2  # never reduced: the loop runs and must refuse
+    M = Mat.from_int_rows(lvl(above), rows)
+    with pytest.raises(InputError):
+        M.rref()
+    with pytest.raises(InputError):
+        M.left_kernel()
