@@ -24,18 +24,12 @@ diagonal quadratic equation over a level.
 
 from __future__ import annotations
 
-import array
 import itertools
-import math
 import random
 
 import numpy as np
 
 from .errors import InputError
-
-# Levels with at most this many elements get exp/log tables for O(1)
-# scalar multiplication; larger levels fall back to polynomial arithmetic.
-_TABLE_LIMIT = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -64,20 +58,6 @@ def _check_word_size(n, p, m):
         raise InputError(
             f"p = {p} is too large for exact int64 products at degree "
             f"m = {m}: max(n, m^2) (p-1)^2 = {bound} reaches 2^63")
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _mat_pow(mat, n, p):
@@ -173,6 +153,8 @@ class Level:
     whole on first use.
     """
 
+    _exp = None  # no exp/log tables; bench/spans.py counts products by it
+
     def __init__(self, tower, r, defpoly, powers, frob_p):
         self.tower = tower
         self.r = r
@@ -191,48 +173,8 @@ class Level:
         self._frob_q_pows = {}
         self._descents = {}  # liealg._descent_solver, per lower level r
         self.embed_from = {r: np.eye(m, dtype=np.int64)}
-        # exp/log tables for small levels
-        self._exp = self._log = None
-        if self.order <= _TABLE_LIMIT:
-            self._build_tables()
         self.zero = FqElement(self, (0,) * m)
         self.one = FqElement(self, (1,) + (0,) * (m - 1))
-
-    def _build_tables(self):
-        p, m, order = self.p, self.m, self.order
-        units = order - 1
-        fac = _prime_factors(units) if units > 1 else []
-        one = (1,) + (0,) * (m - 1)
-        gen = None
-        # the constants 1 .. p-1 have orders dividing p - 1 < units
-        for idx in range(p if m > 1 else 1, order):
-            cand = _int_to_coeffs(idx, p, m)
-            if all(_coeffs_pow(cand, units // ell, self) != one
-                   for ell in fac):
-                gen = cand
-                break
-
-        # gen^0 .. gen^(B-1) one step at a time, then each further block of
-        # B powers by one product with the matrix of x -> x gen^B
-        mul_gen = _mult_matrix(gen, self)
-        B = math.isqrt(units)
-        block = np.empty((B, m), dtype=np.int64)
-        block[0] = one
-        for i in range(1, B):
-            block[i] = block[i - 1] @ mul_gen % p
-        mul_block = _mult_matrix(block[-1] @ mul_gen % p, self)
-        weights = p ** np.arange(m)
-        codes = [block @ weights]
-        for _ in range(-(-units // B) - 1):
-            block = block @ mul_block % p
-            codes.append(block @ weights)
-        codes = np.concatenate(codes)[:units]
-        log = np.zeros(order, dtype=np.int64)
-        log[codes] = np.arange(units)
-        # int64 arrays: 24 bytes per field element against about 88 for
-        # lists of ints, and indexing still gives Python ints
-        self._exp = array.array("q", np.tile(codes, 2).tobytes())
-        self._log = array.array("q", log.tobytes())
 
     def frob_q_pow(self, i):
         i %= self.r
@@ -322,6 +264,41 @@ def _coeffs_pow(coeffs, n, level):
     return result
 
 
+def _trim(coeffs):
+    """Drop the zero leading (highest-degree) coefficients, in place."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _coeffs_inverse(coeffs, level):
+    """The inverse of a nonzero coefficient tuple a modulo the defining
+    polynomial f, by the extended Euclidean algorithm on Python-int lists
+    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 3-4): rows
+    keep s a = r mod f, one pow(c, -1, p) per division.  Raises, rather
+    than return a non-inverse, unless the last nonzero remainder gcd(a, f)
+    is a constant, as it is for an irreducible f."""
+    p = level.p
+    r0, r1 = list(level.defpoly), _trim(list(coeffs))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        d, inv = len(r1) - 1, pow(r1[-1], -1, p)
+        s0 += [0] * (len(r0) - d + len(s1) - len(s0))
+        for k in range(len(r0) - 1, d - 1, -1):  # r0 -= c X^(k-d) r1
+            c = r0[k] * inv % p
+            for i in range(d):
+                r0[k - d + i] -= c * r1[i]
+            for j, x in enumerate(s1):
+                s0[k - d + j] -= c * x
+        r0, r1 = r1, _trim([x % p for x in r0[:d]])
+        s0, s1 = s1, _trim([x % p for x in s0])
+    if not r1:
+        raise AssertionError(
+            "element shares a factor with the defining polynomial")
+    inv = pow(r1[0], -1, p)
+    return tuple([x * inv % p for x in s1] + [0] * (level.m - len(s1)))
+
+
 class FqElement:
     """An element of one tower level, as a GF(p) coefficient tuple."""
 
@@ -381,15 +358,8 @@ class FqElement:
         a, b = self._match(other)
         if a is NotImplemented:
             return NotImplemented
-        level = a.level
-        if level._exp is not None:
-            ia, ib = _coeffs_to_int(a.coeffs, level.p), _coeffs_to_int(
-                b.coeffs, level.p)
-            if ia == 0 or ib == 0:
-                return level.zero
-            idx = level._exp[level._log[ia] + level._log[ib]]
-            return FqElement(level, _int_to_coeffs(idx, level.p, level.m))
-        return FqElement(level, _poly_mul_reduce(a.coeffs, b.coeffs, level))
+        return FqElement(a.level,
+                         _poly_mul_reduce(a.coeffs, b.coeffs, a.level))
 
     __rmul__ = __mul__
 
@@ -397,26 +367,9 @@ class FqElement:
         level = self.level
         if not self:
             raise ZeroDivisionError("division by zero in GF")
-        if level._exp is not None:
-            ia = _coeffs_to_int(self.coeffs, level.p)
-            idx = level._exp[(level.order - 1 - level._log[ia])
-                             % (level.order - 1)]
-            return FqElement(level, _int_to_coeffs(idx, level.p, level.m))
-        p = level.p
         if level.m == 1:
-            return FqElement(level, (pow(int(self.coeffs[0]), -1, p),))
-        # a^-1 = (a^p a^(p^2) ... a^(p^(m-1))) N(a)^-1, N(a) in GF(p)
-        conj = np.array(self.coeffs, dtype=np.int64)
-        rest = None
-        for _ in range(level.m - 1):
-            conj = conj @ level.frob_p % p
-            c = tuple(conj.tolist())
-            rest = c if rest is None else _poly_mul_reduce(rest, c, level)
-        norm = _poly_mul_reduce(self.coeffs, rest, level)
-        if any(norm[1:]):
-            raise AssertionError("norm escaped GF(p)")
-        inv = pow(norm[0], -1, p)
-        return FqElement(level, tuple(c * inv % p for c in rest))
+            return FqElement(level, (pow(int(self.coeffs[0]), -1, level.p),))
+        return FqElement(level, _coeffs_inverse(self.coeffs, level))
 
     def __truediv__(self, other):
         a, b = self._match(other)
@@ -430,12 +383,7 @@ class FqElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        level = self.level
-        if level._exp is not None and self:
-            ia = _coeffs_to_int(self.coeffs, level.p)
-            idx = level._exp[(level._log[ia] * n) % (level.order - 1)]
-            return FqElement(level, _int_to_coeffs(idx, level.p, level.m))
-        return FqElement(level, _coeffs_pow(self.coeffs, n, level))
+        return FqElement(self.level, _coeffs_pow(self.coeffs, n, self.level))
 
     def frobenius(self, i=1):
         """x -> x^(q^i); negative i inverts (F has order r on level r)."""
@@ -736,6 +684,7 @@ def solve_diag_quadratic(alpha, beta, gamma, nontrivial=False):
         if b is not None:
             if nontrivial and not a and not b:
                 continue
-            assert alpha * a * a + beta * b * b == gamma
+            if alpha * a * a + beta * b * b != gamma:
+                raise AssertionError("quadratic solution does not check")
             return (a, b)
     return None

@@ -167,7 +167,8 @@ class LangInstance:
             # normalize the carrier to the minimal level
             from .liealg import _descend
             low = _descend(cmat, self.tower.level(self.tower.extend(r_true)))
-            assert low is not None, "F^r-fixed entries must descend"
+            if low is None:
+                raise AssertionError("F^r-fixed entries must descend")
             cmat = low
             if kind == "Torus":
                 self.c = [cmat.entry(i, i) for i in range(self.d)]
@@ -251,7 +252,7 @@ def norm_and_order(tower, c, r=None, cap=10 ** 6):
     for i in range(1, r):
         N = c.frobenius(i) @ N
     if not N.frobenius(r) == N:
-        raise AssertionError("norm escaped its level")
+        raise AssertionError("norm not fixed by F^r")
     s = matrix_order(N, cap=cap)
     return N, s
 
@@ -284,7 +285,8 @@ def f_eigenspace_det(instance):
     T = Mat.from_int_rows(plevel, big % p)
     from .linalg import fixed_space
     fixed = fixed_space(T)
-    assert fixed.nrows == d * tower.e, "eigenspace dimension mismatch"
+    if fixed.nrows != d * tower.e:
+        raise AssertionError("eigenspace dimension mismatch")
     vectors = []
     for i in range(fixed.nrows):
         coeffs = [int(fixed.planes[0, i, t]) for t in range(d * m)]
@@ -294,7 +296,8 @@ def f_eigenspace_det(instance):
         vectors.append(row)
     basis = _select_k_basis(tower, vectors, d)
     for v in basis.rows():
-        assert v.frobenius(1) @ c == v
+        if v.frobenius(1) @ c != v:
+            raise AssertionError("basis vector not F-fixed")
     return basis
 
 
@@ -347,7 +350,8 @@ def _select_k_basis(tower, vectors, want):
             chosen.append(v)
         if len(chosen) == want:
             break
-    assert len(chosen) == want, "could not extract a k-basis"
+    if len(chosen) != want:
+        raise AssertionError("could not extract a k-basis")
     return Mat.vstack(chosen)
 
 
@@ -377,7 +381,8 @@ def f_eigenspace_lv(instance, rng):
             prefix = prefix.frobenius(1) @ c
         if a.try_inverse() is None:
             continue
-        assert a.frobenius(1) @ c == a, "telescoping identity failed"
+        if a.frobenius(1) @ c != a:
+            raise AssertionError("telescoping identity failed")
         return a, a
     raise BudgetExhausted(
         f"no invertible accumulate in {_LV_RETRY_CAP} draws")
@@ -404,11 +409,13 @@ def solve_sl(instance, rng):
         raise InputError("solve_sl needs an SL instance")
     _, a = f_eigenspace_lv(instance, rng)
     vol = a.det()
-    assert vol.frobenius(1) == vol, "volume must lie in the base field"
+    if vol.frobenius(1) != vol:
+        raise AssertionError("volume must lie in the base field")
     scaled = a.copy()
     row0 = a.row(0) * vol.inverse()
     scaled.planes[:, 0, :] = row0.planes[:, 0, :]
-    assert scaled.det() == a.level.one
+    if scaled.det() != a.level.one:
+        raise AssertionError("scaled solution not in SL")
     return verify(instance, scaled, strict=True)
 
 
@@ -433,7 +440,8 @@ def _solve_form_group(instance, rng):
     P_rows = normal_basis(Mat.identity(level1, d), form)
     P = Mat.vstack(P_rows)
     M0 = P @ form.gram @ P.transpose()
-    assert _is_canonical_gram(level1, form.kind, M0)
+    if not _is_canonical_gram(level1, form.kind, M0):
+        raise AssertionError("normal basis Gram not canonical")
     norm_form = BilinearFormFq(form.kind, M0, form.delta)
     c = instance.c
     cP = (P.embed(c.level.r) @ c @ P.embed(c.level.r).inverse())
@@ -448,7 +456,8 @@ def _solve_form_group(instance, rng):
     B = Mat.vstack(B_rows)
     G = B @ M0.embed(rs) @ B.transpose()
     Gd = _descend_mat(G, level1)
-    assert Gd is not None, "restricted Gram not over the base field"
+    if Gd is None:
+        raise AssertionError("restricted Gram not over the base field")
     if form.kind == "orthogonal":
         if not Gd == M0:
             raise AssertionError(
@@ -456,16 +465,19 @@ def _solve_form_group(instance, rng):
                 "determinant classes forbid this for SO input")
         vol = B.det()
         volsq = vol * vol
-        assert volsq == B.level.one, "vol^2 != 1 in SO"
+        if volsq != B.level.one:
+            raise AssertionError("vol^2 != 1 in SO")
         if vol != B.level.one:
             half = (d - 1) // 2 if d % 2 else d // 2
             if M0 == canonical_gram(level1, "orthogonal", d, "split"):
                 B.planes[:, [0, d - 1], :] = B.planes[:, [d - 1, 0], :]
             else:
                 B.planes[:, half, :] = (-B.planes[:, half, :]) % level1.p
-        assert B.det() == B.level.one
+        if B.det() != B.level.one:
+            raise AssertionError("SO solution has determinant != 1")
     else:
-        assert Gd == M0, "symplectic Gram mismatch"
+        if Gd != M0:
+            raise AssertionError("symplectic Gram mismatch")
     a_norm = B
     a = Prs.inverse() @ a_norm @ Prs
     return verify(instance, a, strict=True)
@@ -568,7 +580,8 @@ def _symplectic_normal_basis(rows, pair, emb, level1):
         raise InputError("degenerate symplectic form")
     v = v * emb(pair(u, v).inverse())
     rest = _perp_in(rows, pair, emb, [u, v], level1)
-    assert rest.nrows == d - 2
+    if rest.nrows != d - 2:
+        raise AssertionError("complement has the wrong dimension")
     inner = _symplectic_normal_basis(rest, pair, emb, level1) if d > 2 \
         else []
     half_inner = len(inner) // 2
@@ -621,7 +634,8 @@ def _find_isotropic(rows, pair, emb, level1, delta):
     ww = pair(w, w)
     # (u,u)a^2 + (v,v)b^2 = -(w,w), always solvable over a finite field
     sol = solve_diag_quadratic(uu, vv, -ww)
-    assert sol is not None
+    if sol is None:
+        raise AssertionError("isotropic vector equation unsolved")
     a, b = sol
     return u * emb(a) + v * emb(b) + w
 
@@ -638,19 +652,22 @@ def _orthogonal_normal_basis(rows, pair, emb, level1, delta):
         a = sqrt(uu)
         if a is None:
             a = sqrt(uu / delta)
-            assert a is not None
+            if a is None:
+                raise AssertionError("anisotropic line has no unit vector")
         return [u * emb(a.inverse())]
     x = _find_isotropic(rows, pair, emb, level1, delta)
     if x is None:
         # anisotropic: only possible for d <= 2
-        assert d == 2, "anisotropic space of dimension > 2"
+        if d != 2:
+            raise AssertionError("anisotropic space of dimension > 2")
         u = _find_anisotropic(rows, pair)
         uu = pair(u, u)
         rest = _perp_in(rows, pair, emb, [u], level1)
         v = rest.row(0)
         vv = pair(v, v)
         sol = solve_diag_quadratic(uu, vv, level1.one)
-        assert sol is not None, "anisotropic plane does not represent 1"
+        if sol is None:
+            raise AssertionError("anisotropic plane does not represent 1")
         a, b = sol
         x1 = u * emb(a) + v * emb(b)
         # y0 = (v,v)b u - (u,u)a v is orthogonal to x1 with norm
@@ -658,10 +675,11 @@ def _orthogonal_normal_basis(rows, pair, emb, level1, delta):
         # rescales to norm exactly -delta
         y0 = u * emb(vv * b) - v * emb(uu * a)
         t = sqrt(uu * vv / (-delta))
-        assert t is not None, "plane is not anisotropic after all"
+        if t is None:
+            raise AssertionError("plane is not anisotropic after all")
         y1 = y0 * emb(t.inverse())
-        assert pair(y1, y1) == -delta
-        assert not pair(x1, y1)
+        if pair(y1, y1) != -delta or pair(x1, y1):
+            raise AssertionError("anisotropic plane basis not normal")
         return [x1, y1]
     # split off a hyperbolic pair through x
     y = None
@@ -669,17 +687,20 @@ def _orthogonal_normal_basis(rows, pair, emb, level1, delta):
         if pair(x, rows.row(i)):
             y = rows.row(i)
             break
-    assert y is not None, "degenerate form detected mid-recursion"
+    if y is None:
+        raise AssertionError("degenerate form detected mid-recursion")
     y = y * emb(pair(x, y).inverse())
     yy = pair(y, y)
     if yy:
         two_inv = (level1.one + level1.one).inverse()
         y = y - x * emb(yy * two_inv)
-        assert not pair(y, y)
+        if pair(y, y):
+            raise AssertionError("hyperbolic partner not isotropic")
     if d == 2:
         return [x, y]
     rest = _perp_in(rows, pair, emb, [x, y], level1)
-    assert rest.nrows == d - 2
+    if rest.nrows != d - 2:
+        raise AssertionError("complement has the wrong dimension")
     inner = _orthogonal_normal_basis(rest, pair, emb, level1, delta)
     return [x] + inner + [y]
 
@@ -772,9 +793,11 @@ def random_group_element(tower, kind, d, level_r, rng, form=None):
             if IK.try_inverse() is None:
                 continue
             g = (I - K) @ IK.inverse()
-            assert g @ M @ g.transpose() == M
+            if g @ M @ g.transpose() != M:
+                raise AssertionError("Cayley transform leaves the form")
             if kind == "SO":
-                assert g.det() == level.one
+                if g.det() != level.one:
+                    raise AssertionError("Cayley transform not in SO")
             return g
     if kind == "Torus":
         return [level.element(rng.randrange(1, level.order))

@@ -910,17 +910,11 @@ def _pollard_rho(n, rng, budget=200000):
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = _gcd_int(abs(x - y), n)
+            d = math.gcd(x - y, n)
             count += 1
         if 1 < d < n:
             return d
     return None
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _factor_int(n, rng):
@@ -972,7 +966,7 @@ def matrix_order(M, cap=10 ** 6, rng=None):
     bound = 1
     max_mult = max(mult for _, mult in facs)
     for f, _ in facs:
-        bound = bound * (q ** f.degree - 1) // _gcd_int(
+        bound = bound * (q ** f.degree - 1) // math.gcd(
             bound, q ** f.degree - 1)
     ppart = 1
     while ppart < max_mult:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -135,10 +136,26 @@ def _outputs_with_and_without_optimize(argv):
     return outs
 
 
+# Sp over GF(5) with the block form diag(J, J) and SO over GF(7) with
+# diag(1, 1, 3): c = a0^(-F) a0 for a seeded a0 over k_2, in CLI JSON
+FORM_INSTANCES = [
+    ("Sp", "5",
+     "[[[3,1],[0,4],[4,4],[0,4]],[[0,2],[3,4],[2,0],[0,2]],"
+     "[[0,3],[0,4],[3,3],[0,0]],[[3,0],[4,1],[0,3],[3,2]]]",
+     '{"kind": "symplectic", "gram": [[0,1,0,0],[4,0,0,0],[0,0,0,1],'
+     '[0,0,4,0]]}', "23b0f61ce987"),
+    ("SO", "7",
+     "[[[3,0],[5,1],[3,1]],[[5,6],[3,0],[4,1]],[[2,4],[5,4],[4,0]]]",
+     '{"kind": "orthogonal", "gram": [[1,0,0],[0,1,0],[0,0,3]]}',
+     "37da3c53327c"),
+]
+
+
 def test_lang_output_same_under_python_optimize():
-    # python -O strips assert statements; the solution level 5^8 has no
-    # exp/log tables, so inverses go through the norm and the norm's order
-    # through matrix_order, whose checks must not depend on asserts
+    # python -O strips assert statements; over GF(5^8) inverses go through
+    # extended Euclid and the norm's order through matrix_order, and the
+    # Sp and SO solves run the normal-basis and form checks: none of these
+    # may depend on asserts
     outs = _outputs_with_and_without_optimize(
         ["lang", "--group", "GL", "--p", "5", "--c", "[[0,1],[3,0]]",
          "--seed", "1", "--output", "json"])
@@ -146,6 +163,14 @@ def test_lang_output_same_under_python_optimize():
     assert json.loads(outs[0])["level"] == "5^(1*8)"
     assert hashlib.sha256(outs[0].encode()).hexdigest().startswith(
         "8ae1dab9f169")
+    for group, p, c, form, digest in FORM_INSTANCES:
+        outs = _outputs_with_and_without_optimize(
+            ["lang", "--group", group, "--p", p, "--c", c, "--form", form,
+             "--seed", "1", "--output", "json"])
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["ok"] is True
+        assert hashlib.sha256(outs[0].encode()).hexdigest().startswith(
+            digest)
 
 
 def test_chevalley_output_same_under_python_optimize():
@@ -155,6 +180,19 @@ def test_chevalley_output_same_under_python_optimize():
         ["chevalley", "--type", "B3", "--p", "7", "--seed", "1"])
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["verdict"] is True
+
+
+def test_no_assert_statements_in_checked_modules():
+    # python -O strips assert statements, so the checks of these modules
+    # raise AssertionError explicitly
+    import langchev
+    src = os.path.dirname(langchev.__file__)
+    for name in ("ff", "lang", "liealg"):
+        with open(os.path.join(src, name + ".py")) as fh:
+            tree = ast.parse(fh.read())
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert lines == [], f"assert statements in {name}.py at {lines}"
 
 
 def test_chevalley_char_guard():

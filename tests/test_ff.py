@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -7,8 +8,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from sympy import GF, ZZ
-from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_pow_mod
+from sympy.polys.galoistools import (gf_gcdex, gf_irreducible_p, gf_mul,
+                                     gf_pow_mod, gf_rem, gf_strip)
 from sympy.polys.matrices import DomainMatrix
 
 from langchev import ff
@@ -403,74 +407,81 @@ def test_element_int_roundtrip_and_order():
         assert lvl.element(idx).to_int() == idx
 
 
-def _tables_one_step(level):
-    """The exp/log tables stepped one power of the generator at a time,
-    with the generator search of ``Level._build_tables``: the reference
-    for the blocked build."""
-    p, m, order = level.p, level.m, level.order
-    units = order - 1
-    fac = ff._prime_factors(units) if units > 1 else []
-    one = (1,) + (0,) * (m - 1)
-    gen = None
-    for idx in range(1, order):
-        cand = ff._int_to_coeffs(idx, p, m)
-        if all(ff._coeffs_pow(cand, units // ell, level) != one
-               for ell in fac):
-            gen = cand
-            break
-    exp = [0] * (2 * units)
-    log = [0] * order
-    cur = one
-    for i in range(units):
-        ci = sum(c * p ** k for k, c in enumerate(cur))
-        exp[i] = exp[i + units] = ci
-        log[ci] = i
-        cur = ff._poly_mul_reduce(cur, gen, level)
-    return exp, log
+# (p, e, r), absolute degree m = e r: levels on both sides of 2^16 elements
+INVERSE_LEVELS = [(5, 1, 8), (3, 1, 12), (2, 1, 17), (13, 1, 5),
+                  (65537, 2, 1), (10 ** 9 + 7, 1, 1), (5, 1, 2), (3, 1, 6),
+                  (7, 1, 5), (2, 1, 10), (251, 1, 2), (3, 2, 3)]
 
 
-@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (5, 2), (3, 6), (5, 6),
-                                  (7, 5), (2, 10), (251, 2)])
-def test_blocked_tables_match_one_step(p, m):
-    # (2, 1) has blocks of one power; 7^5 - 1 = 16806 is not a multiple of
-    # its block size 129, so the last block is cut short; at (251, 2) the
-    # blocked build skips the 250 constants, the reference tries them
-    t = ff.make_tower(p, 1)
-    level = t.level(t.extend(m))
-    assert level.m == m
-    exp, log = _tables_one_step(level)
-    assert level._exp.tolist() == exp
-    assert level._log.tolist() == log
-
-
-# levels past the exp/log-table limit: (p, e, r), absolute degree m = e r
-UNTABLED = [(5, 1, 8), (3, 1, 12), (2, 1, 17), (13, 1, 5), (65537, 2, 1),
-            (10 ** 9 + 7, 1, 1)]
-
-
-@pytest.mark.parametrize("p, e, r", UNTABLED)
-def test_inverse_through_norm_matches_power(p, e, r):
+@pytest.mark.parametrize("p, e, r", INVERSE_LEVELS)
+def test_inverse_matches_fermat_power(p, e, r):
     tower = ff.make_tower(p, e)
     level = tower.level(tower.extend(r))
-    assert level._exp is None
     rng = random.Random(p * 100 + r)
     for idx in [1, 2, p - 1, level.order - 1] + [
             rng.randrange(1, level.order) for _ in range(12)]:
         x = level.element(idx)
         inv = x.inverse()
-        # the Fermat power x^(q-2) the inverse used before
+        # the Fermat power x^(q-2), computed without any inverse
         assert inv.coeffs == ff._coeffs_pow(x.coeffs, level.order - 2, level)
         assert x * inv == level.one
     with pytest.raises(ZeroDivisionError):
         level.zero.inverse()
 
 
-def test_inverse_rejects_norm_outside_prime_field(monkeypatch):
+def test_inverse_rejects_defpoly_sharing_a_factor(monkeypatch):
     tower = ff.make_tower(5)
     level = tower.level(tower.extend(8))
-    x = level.element([1, 1, 0, 0, 0, 0, 0, 0])
-    assert (x ** 8).coeffs[1:] != (0,) * 7
-    # with x -> x^p replaced by the identity, the "norm" is x^m
-    monkeypatch.setattr(level, "frob_p", np.eye(8, dtype=np.int64))
-    with pytest.raises(AssertionError, match="norm escaped GF"):
-        x.inverse()
+    x, x1 = level.element([0, 1] + [0] * 6), level.element([1, 1] + [0] * 6)
+    assert x * x.inverse() == level.one and x1 * x1.inverse() == level.one
+    # X^8 + X = X (X + 1) (X^6 - X^5 + ... + 1) over GF(5): the
+    # remainder sequences of X and of X + 1 against it end in zero
+    monkeypatch.setattr(level, "defpoly", (0, 1, 0, 0, 0, 0, 0, 0, 1))
+    for y in (x, x1):
+        with pytest.raises(AssertionError, match="shares a factor"):
+            y.inverse()
+
+
+@functools.cache
+def _prime_tower_level(p, m):
+    tower = ff.make_tower(p)
+    return tower.level(tower.extend(m))
+
+
+def _big_endian(coeffs):
+    return gf_strip([int(c) for c in reversed(coeffs)])
+
+
+def _little_endian(poly, m):
+    out = [int(c) for c in reversed(poly)]
+    return tuple(out + [0] * (m - len(out)))
+
+
+@st.composite
+def _scalar_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    m = draw(st.integers(1, 8))  # 251^2 and 3^8 < 2^16 < 7^8 and 251^3
+    elt = st.lists(st.integers(0, p - 1), min_size=m, max_size=m)
+    return p, m, draw(elt), draw(elt), draw(st.integers(-(1 << 40),
+                                                        1 << 40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_scalar_case())
+def test_scalar_ops_match_sympy(case):
+    p, m, a, b, n = case
+    level = _prime_tower_level(p, m)
+    f, A = _big_endian(level.defpoly), _big_endian(a)
+    x, y = level.element(a), level.element(b)
+    assert (x * y).coeffs == _little_endian(
+        gf_rem(gf_mul(A, _big_endian(b), p, ZZ), f, p, ZZ), m)
+    if not x:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    s, _, g = gf_gcdex(A, f, p, ZZ)
+    assert g == [1]
+    assert x.inverse().coeffs == _little_endian(s, m)
+    assert (x ** n).coeffs == _little_endian(
+        gf_pow_mod(A if n >= 0 else s, abs(n), f, p, ZZ), m)
