@@ -271,27 +271,49 @@ def _trim(coeffs):
     return coeffs
 
 
+# GF(p) polynomials as little-endian lists of Python ints in [0, p) with no
+# zero leading coefficient ([] is the zero polynomial).  Exact at any p.
+
+def _list_divmod(a, b, p):
+    """(quotient, remainder) of coefficient lists, b nonzero: one
+    pow(lead, -1, p), then one row step per quotient coefficient (von zur
+    Gathen and Gerhard, Modern Computer Algebra, Alg. 2.5).  Returns a
+    itself as the remainder when deg a < deg b."""
+    d = len(b) - 1
+    n = len(a) - d
+    if n <= 0:
+        return [], a
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quot = [0] * n
+    for j in range(n - 1, -1, -1):  # rem -= c X^j b
+        c = rem[j + d] * inv % p
+        if c:
+            quot[j] = c
+            for i in range(d):
+                rem[j + i] -= c * b[i]
+    return quot, _trim([x % p for x in rem[:d]])
+
+
 def _coeffs_inverse(coeffs, level):
     """The inverse of a nonzero coefficient tuple a modulo the defining
     polynomial f, by the extended Euclidean algorithm on Python-int lists
     (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 3-4): rows
-    keep s a = r mod f, one pow(c, -1, p) per division.  Raises, rather
+    keep s a = r mod f, one `_list_divmod` per step.  Raises, rather
     than return a non-inverse, unless the last nonzero remainder gcd(a, f)
     is a constant, as it is for an irreducible f."""
     p = level.p
     r0, r1 = list(level.defpoly), _trim(list(coeffs))
     s0, s1 = [], [1]
     while len(r1) > 1:
-        d, inv = len(r1) - 1, pow(r1[-1], -1, p)
-        s0 += [0] * (len(r0) - d + len(s1) - len(s0))
-        for k in range(len(r0) - 1, d - 1, -1):  # r0 -= c X^(k-d) r1
-            c = r0[k] * inv % p
-            for i in range(d):
-                r0[k - d + i] -= c * r1[i]
-            for j, x in enumerate(s1):
-                s0[k - d + j] -= c * x
-        r0, r1 = r1, _trim([x % p for x in r0[:d]])
-        s0, s1 = s1, _trim([x % p for x in s0])
+        quot, rem = _list_divmod(r0, r1, p)
+        s = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
+        for i, c in enumerate(quot):  # s = s0 - quot s1
+            if c:
+                for j, x in enumerate(s1):
+                    s[i + j] -= c * x
+        r0, r1 = r1, rem
+        s0, s1 = s1, _trim([x % p for x in s])
     if not r1:
         raise AssertionError(
             "element shares a factor with the defining polynomial")

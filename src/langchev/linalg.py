@@ -10,7 +10,9 @@ package: a vector v acts on a matrix as v @ M, kernels are left kernels
 Polynomials (:class:`PolyFq`) use the same plane layout, coefficient index
 ascending.  Factorization runs the standard squarefree / distinct-degree /
 equal-degree pipeline with an explicit RNG handle; every returned factor is
-certified irreducible before it is handed back.
+certified irreducible before it is handed back.  Over GF(p) itself (m = 1)
+division, gcd and the whole pipeline run on lists of Python ints instead,
+with the same random draws.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import math
 import numpy as np
 
 from .errors import BudgetExhausted, InputError
-from .ff import FqElement, _check_word_size, _int_to_coeffs
+from .ff import (FqElement, _check_word_size, _int_to_coeffs, _list_divmod,
+                 _trim)
 
 __all__ = [
     "Mat", "PolyFq", "rref", "kernel", "solve", "det", "charpoly",
@@ -598,6 +601,10 @@ class PolyFq:
         if self.degree < other.degree:
             return PolyFq.zero(level), self
         m, p = level.m, level.p
+        if m == 1:
+            quot, rem = _list_divmod(self.planes[0].tolist(),
+                                     other.planes[0].tolist(), p)
+            return _poly_from_list(level, quot), _poly_from_list(level, rem)
         lead = other.leading()
         monic = lead == level.one
         gm = other if monic else other.scale(lead.inverse())
@@ -633,6 +640,10 @@ class PolyFq:
         return self.scale(lead.inverse())
 
     def gcd(self, other):
+        level = self.level
+        if level.m == 1:
+            return _poly_from_list(level, _list_gcd(
+                self.planes[0].tolist(), other.planes[0].tolist(), level.p))
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
@@ -807,6 +818,15 @@ def _poly_coeff_row(f, width):
     return out
 
 
+_EDF_DRAW_CAP = 64
+
+
+def _edf_exhausted(n, d):
+    return BudgetExhausted(f"no equal-degree split of a degree-{n} "
+                           f"polynomial into degree-{d} factors in "
+                           f"{_EDF_DRAW_CAP} draws")
+
+
 def _distinct_degree(f, rng):
     """[(product of irreducibles of degree d, d)] for squarefree monic f.
 
@@ -839,13 +859,16 @@ def _distinct_degree(f, rng):
 
 
 def _equal_degree_split(f, d, rng):
-    """Split a monic squarefree product of degree-d irreducibles."""
+    """Split a monic squarefree product of degree-d irreducibles.  Each
+    draw splits such an f of degree > d with probability about 1/2 or more,
+    so `_EDF_DRAW_CAP` draws without a split (skipped draws included) mean
+    f is not one: raises BudgetExhausted."""
     level = f.level
     if f.degree == d:
         return [f]
     q = level.order
     one = PolyFq.one_poly(level)
-    while True:
+    for _ in range(_EDF_DRAW_CAP):
         coeffs = [rng.randrange(q) for _ in range(f.degree)]
         b = PolyFq.from_coeffs(level, [
             _int_to_coeffs(c, level.p, level.m) for c in coeffs])
@@ -864,6 +887,7 @@ def _equal_degree_split(f, d, rng):
         if 0 < g.degree < f.degree:
             return (_equal_degree_split(g, d, rng)
                     + _equal_degree_split(f // g, d, rng))
+    raise _edf_exhausted(f.degree, d)
 
 
 def factor(f, rng):
@@ -876,6 +900,10 @@ def factor(f, rng):
     """
     if f.is_zero():
         raise InputError("cannot factor the zero polynomial")
+    if f.level.m == 1:
+        return [(_poly_from_list(f.level, g), mult)
+                for g, mult in _list_factor(f.planes[0].tolist(),
+                                            f.level.p, rng)]
     out = []
     x = None
     for g, mult in squarefree_decomposition(f):
@@ -892,6 +920,155 @@ def factor(f, rng):
                 out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree,
                             [c.to_int() for c in t[0].coeffs()]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Factorization over GF(p) on Python-int lists
+# ---------------------------------------------------------------------------
+# The same pipeline at m = 1, on the coefficient lists of `ff._list_divmod`.
+# The polynomials factored here mostly have degree <= 6, where numpy's cost
+# per call outweighs the arithmetic.  Every step mirrors its plane
+# counterpart above, and the equal-degree split draws exactly as
+# `_equal_degree_split` does, so seeded results do not depend on the path.
+
+def _poly_from_list(level, coeffs):
+    """The PolyFq of an m = 1 coefficient list."""
+    return PolyFq(level, np.array([coeffs], dtype=np.int64))
+
+
+def _list_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [x % p for x in out]
+
+
+def _list_sub(a, b, p):
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _trim([x % p for x in out])
+
+
+def _list_monic(a, p):
+    if not a or a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _list_gcd(a, b, p):
+    """Monic gcd by the Euclidean algorithm."""
+    while b:
+        a, b = b, _list_divmod(a, b, p)[1]
+    return _list_monic(a, p)
+
+
+def _list_pow_mod(a, n, f, p):
+    """a^n mod f by square-and-multiply, for a reduced mod f."""
+    result = [1]
+    while True:
+        if n & 1:
+            result = _list_divmod(_list_mul(result, a, p), f, p)[1]
+        n >>= 1
+        if not n:
+            return result
+        a = _list_divmod(_list_mul(a, a, p), f, p)[1]
+
+
+def _list_squarefree(f, p):
+    """`squarefree_decomposition` of a nonzero list.  Over GF(p) every
+    coefficient is its own p-th power, so an f with f' = 0 is g(X^p) = g^p
+    with g = f[::p]."""
+    f = _list_monic(f, p)
+    out = []
+    e = 1
+    while len(f) > 1:
+        fp = _trim([i * c % p for i, c in enumerate(f)][1:])
+        if not fp:
+            f = f[::p]
+            e *= p
+            continue
+        g = _list_gcd(f, fp, p)
+        if len(g) == 1:
+            out.append((f, e))
+            break
+        w = _list_divmod(f, g, p)[0]
+        i = 1
+        while len(w) > 1:
+            y = _list_gcd(w, g, p)
+            fac = _list_divmod(w, y, p)[0]
+            if len(fac) > 1:
+                out.append((_list_monic(fac, p), i * e))
+            w = y
+            g = _list_divmod(g, y, p)[0]
+            i += 1
+        f = g
+    return out
+
+
+def _list_distinct_degree(f, p):
+    """`_distinct_degree` of a squarefree monic list: step d takes
+    h = X^(p^d) mod rem to h^p mod rem."""
+    out = []
+    d = 0
+    rem = f
+    h = [0, 1]
+    while len(rem) > 2 * (d + 1):
+        d += 1
+        h = _list_pow_mod(h, p, rem, p)
+        g = _list_gcd(_list_sub(h, [0, 1], p), rem, p)
+        if len(g) > 1:
+            out.append((g, d))
+            rem = _list_divmod(rem, g, p)[0]
+            h = _list_divmod(h, rem, p)[1]
+    if len(rem) > 1:
+        out.append((rem, len(rem) - 1))
+    return out
+
+
+def _list_equal_degree_split(f, d, p, rng):
+    """`_equal_degree_split` of a monic list, with the same draws."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    for _ in range(_EDF_DRAW_CAP):
+        b = _trim([rng.randrange(p) for _ in range(n)])
+        if len(b) < 2:
+            continue
+        if p == 2:
+            acc = tr = b
+            for _ in range(d - 1):
+                acc = _list_divmod(_list_mul(acc, acc, p), f, p)[1]
+                tr = _list_sub(tr, acc, p)  # a sum: + and - agree mod 2
+            g = _list_gcd(tr, f, p)
+        else:
+            powed = _list_pow_mod(b, (p ** d - 1) // 2, f, p)
+            g = _list_gcd(_list_sub(powed, [1], p), f, p)
+        if 1 < len(g) < len(f):
+            return (_list_equal_degree_split(g, d, p, rng)
+                    + _list_equal_degree_split(
+                        _list_divmod(f, g, p)[0], d, p, rng))
+    raise _edf_exhausted(n, d)
+
+
+def _list_factor(f, p, rng):
+    """`factor` of a nonzero list over GF(p): sorted (monic irreducible,
+    multiplicity) lists, each certified by X^(p^d) = X mod it."""
+    out = []
+    for g, mult in _list_squarefree(f, p):
+        for prod, d in _list_distinct_degree(g, p):
+            for irr in _list_equal_degree_split(prod, d, p, rng):
+                if len(irr) > 2 and _list_pow_mod(
+                        [0, 1], p ** (len(irr) - 1), irr, p) != [0, 1]:
+                    raise AssertionError("factor failed certification")
+                out.append((irr, mult))
+    out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 
 

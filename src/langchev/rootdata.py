@@ -227,7 +227,8 @@ class RootDatum:
                 if c[j]:
                     total += c[i] * c[j] * int(self.cartan[i, j]) \
                         * self.halfnorms[j]
-        assert total % 2 == 0
+        if total % 2:
+            raise AssertionError("odd pairing of two roots")
         return total // 2
 
     def root_index(self, coords):
@@ -256,7 +257,8 @@ class RootDatum:
                     total += ci[a] * cj[b] * int(self.cartan[a, b]) \
                         * self.halfnorms[b]
         dj = self._halfnorm_of_root[j]
-        assert total % dj == 0
+        if total % dj:
+            raise AssertionError("coroot pairing not integral")
         return total // dj
 
     def _build_lattice_coords(self):
@@ -281,8 +283,9 @@ class RootDatum:
                     for j in range(l)))
         # duality sanity: <alpha, alpha^*> = 2
         for i in range(self.num_roots):
-            assert sum(x * y for x, y in
-                       zip(self.root_X[i], self.coroot_Y[i])) == 2
+            if sum(x * y for x, y in
+                   zip(self.root_X[i], self.coroot_Y[i])) != 2:
+                raise AssertionError(f"<alpha, alpha^*> != 2 at root {i}")
 
     def _coroot_simple_coords(self, i):
         """Coordinates of alpha_i^* in the simple coroot basis."""
@@ -291,7 +294,8 @@ class RootDatum:
         out = []
         for j in range(self.l):
             v = c[j] * self.halfnorms[j]
-            assert v % da == 0
+            if v % da:
+                raise AssertionError("coroot coordinates not integral")
             out.append(v // da)
         return tuple(out)
 
@@ -309,7 +313,8 @@ class RootDatum:
                 if b is not None and b < self.num_pos:
                     best = (a, b)
                     break  # positives are scanned in the fixed order
-            assert best is not None
+            if best is None:
+                raise AssertionError(f"no extraspecial pair for root {k}")
             self.extraspecial[k] = best
 
     def _string_down(self, i, j):
@@ -360,9 +365,12 @@ class RootDatum:
                     t += self._nval(N, b, self.neg(g)) \
                         * self._nval(N, a, bmg)
                 den = self._nval(N, k, self.neg(g))
-                assert den != 0 and t % den == 0
+                if den == 0 or t % den:
+                    raise AssertionError(
+                        f"structure constant at {a},{b} not integral")
                 n = t // den
-                assert n != 0
+                if n == 0:
+                    raise AssertionError(f"zero structure constant at {a},{b}")
                 N[(a, b)] = n
                 N[(b, a)] = -n
         # fill the complete table
@@ -373,8 +381,9 @@ class RootDatum:
                 if self.add_roots(i, j) is not None:
                     v = self._nval(N, i, j)
                     expected = self._string_down(i, j) + 1
-                    assert abs(v) == expected, \
-                        f"|N| mismatch at {i},{j}: {v} vs {expected}"
+                    if abs(v) != expected:
+                        raise AssertionError(
+                            f"|N| mismatch at {i},{j}: {v} vs {expected}")
         return N
 
     def _nval(self, N, i, j):
@@ -401,12 +410,14 @@ class RootDatum:
             if k < npos:
                 # (j, z) both negative: N(i,j)/ (z,z) = N(j,z)/(i,i)
                 num = self._nval(N, j, z) * dz
-                assert num % di == 0
+                if num % di:
+                    raise AssertionError("structure constant not integral")
                 v = num // di
             else:
                 # (z, i) both positive: N(i,j)/(z,z) = N(z,i)/(j,j)
                 num = self._nval(N, z, i) * dz
-                assert num % dj == 0
+                if num % dj:
+                    raise AssertionError("structure constant not integral")
                 v = num // dj
         N[(i, j)] = v
         return v
@@ -529,7 +540,8 @@ class WeylElement:
         out = np.zeros((l, l), dtype=np.int64)
         for i in range(l):
             for j in range(l):
-                assert M[i][j].denominator == 1, "w does not preserve Y"
+                if M[i][j].denominator != 1:
+                    raise AssertionError("w does not preserve Y")
                 out[i, j] = int(M[i][j])
         self._ymat = out
         return out
@@ -848,13 +860,15 @@ def _ipoly_divexact(a, b):
     out = [0] * (len(a) - len(b) + 1)
     for k in range(len(out) - 1, -1, -1):
         c = a[k + len(b) - 1]
-        assert c % b[-1] == 0, "nonexact polynomial division"
+        if c % b[-1]:
+            raise AssertionError("nonexact polynomial division")
         q = c // b[-1]
         out[k] = q
         if q:
             for i, y in enumerate(b):
                 a[k + i] -= q * y
-    assert all(x == 0 for x in a), "nonexact polynomial division"
+    if any(a):
+        raise AssertionError("nonexact polynomial division")
     return out
 
 

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.galoistools import (gf_degree, gf_div, gf_factor, gf_gcd,
+                                     gf_irreducible_p, gf_mul, gf_pow,
+                                     gf_sqf_list, gf_strip)
 
 from langchev import ff, linalg
-from langchev.errors import InputError
+from langchev.errors import BudgetExhausted, InputError
 from langchev.linalg import Mat, PolyFq
 
 
@@ -575,8 +579,6 @@ def test_charpoly_and_pow_mod_product_counts(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_squarefree_decomposition_matches_sympy(p):
-    from sympy import ZZ
-    from sympy.polys.galoistools import gf_sqf_list
     L = lvl(p)
     rng = random.Random(p)
     for _ in range(40):
@@ -591,6 +593,133 @@ def test_squarefree_decomposition_matches_sympy(p):
                               p, ZZ)
         want = sorted(([int(c) for c in reversed(g)], k) for g, k in want)
         assert got == want
+        # the m = 1 factoring path's own loop on Python-int lists
+        assert sorted(linalg._list_squarefree(f.planes[0].tolist(),
+                                              p)) == want
+
+
+@st.composite
+def _gfp_poly_case(draw):
+    """A GF(p) polynomial f of degree <= 24, a product of powers of up to
+    five random factors (so repeated factors, p-th powers and several
+    factors of one degree occur), a second polynomial g (maybe zero) and an
+    rng seed; both polynomials big-endian, as sympy's galoistools takes
+    them."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    coeff = st.integers(0, p - 1)
+    f = [draw(st.integers(1, p - 1))]
+    for _ in range(draw(st.integers(0, 5))):
+        g = [draw(st.integers(1, p - 1))] + draw(
+            st.lists(coeff, min_size=1, max_size=6))
+        k = draw(st.sampled_from([1, 1, 2, 3, p]))
+        if gf_degree(f) + k * gf_degree(g) <= 24:
+            f = gf_mul(f, gf_pow(g, k, p, ZZ), p, ZZ)
+    g = gf_strip(draw(st.lists(coeff, max_size=25)))
+    return p, f, g, draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_gfp_poly_case())
+def test_gfp_list_path_matches_sympy_and_plane_pipeline(case):
+    p, f_be, g_be, seed = case
+    L = lvl(p)
+
+    def poly(be):
+        return PolyFq.from_coeffs(L, [int(c) for c in reversed(be)])
+
+    def big_endian(poly):
+        return [c.to_int() for c in reversed(poly.coeffs())]
+
+    f, g = poly(f_be), poly(g_be)
+    assert big_endian(f.gcd(g)) == gf_gcd(f_be, g_be, p, ZZ)
+    if g_be:
+        quot, rem = divmod(f, g)
+        assert [big_endian(quot), big_endian(rem)] == list(
+            gf_div(f_be, g_be, p, ZZ))
+    rng = random.Random(seed)
+    got = linalg.factor(f, rng)
+    _, want = gf_factor(f_be, p, ZZ)
+    assert sorted((big_endian(h), k) for h, k in got) == sorted(
+        ([int(c) for c in h], k) for h, k in want)
+    # the plane pipeline, its steps called directly: same factors, same
+    # draws
+    plane_rng = random.Random(seed)
+    plane = []
+    for h, mult in linalg.squarefree_decomposition(f):
+        for prod, d in linalg._distinct_degree(h, plane_rng):
+            for irr in linalg._equal_degree_split(prod, d, plane_rng):
+                plane.append((big_endian(irr.monic()), mult))
+    assert [(big_endian(h), k) for h, k in got] == sorted(
+        plane, key=lambda t: (len(t[0]), t[0][::-1]))
+    assert rng.getstate() == plane_rng.getstate()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_list_equal_degree_split_draws_as_the_plane_split(p, d):
+    # up to six distinct irreducibles of degree d, so both halves of a
+    # split often need splitting again: the factors come out in the same
+    # (unsorted) order, after the same draws
+    rng = random.Random(100 * p + d)
+    irreducibles = set()
+    for _ in range(400):
+        h = [1] + [rng.randrange(p) for _ in range(d)]
+        if len(irreducibles) < 6 and gf_irreducible_p(h, p, ZZ):
+            irreducibles.add(tuple(h))
+    f = [1]
+    for h in sorted(irreducibles):
+        f = gf_mul(f, list(h), p, ZZ)
+    f = [int(c) for c in reversed(f)]
+    rng, plane_rng = random.Random(d), random.Random(d)
+    got = linalg._list_equal_degree_split(f, d, p, rng)
+    want = linalg._equal_degree_split(PolyFq.from_coeffs(lvl(p), f), d,
+                                      plane_rng)
+    assert len(got) == len(irreducibles)
+    assert got == [[c.to_int() for c in h.coeffs()] for h in want]
+    assert rng.getstate() == plane_rng.getstate()
+
+
+class _CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize("p,coeffs,d", [
+    (7, [1, 0, 1], 1),        # X^2 + 1
+    (2, [1, 1, 1], 1),        # X^2 + X + 1
+    (3, [2, 1, 0, 0, 1], 2),  # X^4 + X + 2
+    (2, [1, 1, 0, 0, 1], 2),  # X^4 + X + 1
+])
+def test_equal_degree_split_raises_on_an_irreducible_input(p, coeffs, d):
+    # an irreducible of degree 2d never splits into degree-d factors: both
+    # paths stop after the cap's draws, skipped ones included
+    cap = linalg._EDF_DRAW_CAP
+    rng = _CountingRandom(p)
+    with pytest.raises(BudgetExhausted, match=f"{cap} draws"):
+        linalg._list_equal_degree_split(coeffs, d, p, rng)
+    assert rng.draws == cap * (len(coeffs) - 1)
+    rng = _CountingRandom(p)
+    with pytest.raises(BudgetExhausted, match=f"{cap} draws"):
+        linalg._equal_degree_split(PolyFq.from_coeffs(lvl(p), coeffs), d,
+                                   rng)
+    assert rng.draws == cap * (len(coeffs) - 1)
+
+
+def test_equal_degree_split_raises_on_an_irreducible_input_over_gf9():
+    L = lvl(3, 2)
+    squares = {(x * x).to_int() for x in map(L.element, range(9))}
+    c = next(c for c in range(9) if c not in squares)
+    f = PolyFq.from_coeffs(L, [-L.element(c), 0, 1])  # X^2 - c
+    rng = _CountingRandom(9)
+    with pytest.raises(BudgetExhausted):
+        linalg._equal_degree_split(f, 1, rng)
+    assert rng.draws == 2 * linalg._EDF_DRAW_CAP
 
 
 def test_eval_mat_coerces_coefficients_to_the_matrix_level():
