@@ -4,8 +4,9 @@ construction, and Weyl group analytics with reproducible seeds.
 All randomness in one invocation flows through a single seeded generator
 (``--seed``, falling back to the LANGCHEV_SEED environment variable), so
 Las Vegas runs can be replayed exactly.  Exit codes: 0 success (and every
-emitted artifact was verified), 2 input error, 3 retry budget exhausted,
-4 recognition failure on external input, 5 enumeration gate.
+emitted artifact was verified), 2 input error, 3 retry or degree budget
+exhausted, 4 recognition failure on external input, 5 enumeration gate,
+6 an internal verification failed (no artifact is emitted).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 
 from . import ff, lang, liealg, rootdata
 from .errors import (BudgetExhausted, EnumerationGate, InputError,
-                     LangchevError, RecognitionError)
+                     LangchevError, RecognitionError, VerificationError)
 from .linalg import Mat
 
 
@@ -114,12 +115,14 @@ def cmd_lang(args):
         c = [_parse_entry(level, v) for v in c_data]
         inst = lang.LangInstance(kind="Torus", tower=tower, c=c, r=r, s=s,
                                  trust_s=args.trust_s,
-                                 order_cap=args.order_cap)
+                                 order_cap=args.order_cap,
+                                 max_degree=args.max_degree)
     else:
         c = _parse_matrix(level, c_data)
         inst = lang.LangInstance(kind=group, tower=tower, c=c, r=r, s=s,
                                  form=form, trust_s=args.trust_s,
-                                 order_cap=args.order_cap)
+                                 order_cap=args.order_cap,
+                                 max_degree=args.max_degree)
     cert = lang.solve(inst, rng)
     payload = cert.to_json()
     _emit(args, payload,
@@ -261,6 +264,10 @@ def _build_parser():
                     help="accept the given s without recomputing the norm "
                          "order")
     lp.add_argument("--order-cap", type=int, default=10 ** 6)
+    lp.add_argument("--max-degree", type=int, default=lang.MAX_DEGREE,
+                    help="largest degree rs over k of the level a solution "
+                         "may need; past it the run stops with exit code 3 "
+                         f"(default {lang.MAX_DEGREE})")
     lp.set_defaults(func=cmd_lang)
 
     cp = sub.add_parser("chevalley",
@@ -304,7 +311,7 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except BudgetExhausted as exc:
-        print(f"Las Vegas budget exhausted: {exc}", file=sys.stderr)
+        print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     except RecognitionError as exc:
         print(f"recognition failure: {exc}", file=sys.stderr)
@@ -312,6 +319,9 @@ def main(argv=None):
     except EnumerationGate as exc:
         print(f"enumeration gate: {exc}", file=sys.stderr)
         return 5
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 6
     except LangchevError as exc:  # pragma: no cover - catch-all
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,3 +28,9 @@ class RecognitionError(LangchevError, ValueError):
 class EnumerationGate(LangchevError, RuntimeError):
     """A Weyl group enumeration exceeds the desk-scale gate and the caller
     did not opt in with allow_large (exit code 5)."""
+
+
+class VerificationError(LangchevError, AssertionError):
+    """An internal check on a computed result failed: a certificate, an
+    identity the algorithm guarantees, or a bound that must hold.  No
+    unverified answer is returned (exit code 6)."""

@@ -29,7 +29,7 @@ import random
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, VerificationError
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ class Level:
         self.frob_p = frob_p
         self.frob_q = _mat_pow(frob_p, tower.e, p)
         self._frob_q_pows = {}
-        self._descents = {}  # liealg._descent_solver, per lower level r
+        self._descents = {}  # linalg._descent_solver, per lower level r
         self.embed_from = {r: np.eye(m, dtype=np.int64)}
         self.zero = FqElement(self, (0,) * m)
         self.one = FqElement(self, (1,) + (0,) * (m - 1))
@@ -315,7 +315,7 @@ def _coeffs_inverse(coeffs, level):
         r0, r1 = r1, rem
         s0, s1 = s1, _trim([x % p for x in s])
     if not r1:
-        raise AssertionError(
+        raise VerificationError(
             "element shares a factor with the defining polynomial")
     inv = pow(r1[0], -1, p)
     return tuple([x * inv % p for x in s1] + [0] * (level.m - len(s1)))
@@ -526,7 +526,7 @@ class FieldTower:
             return
         roots = self._roots_in_level(src.defpoly, dst)
         if len(roots) != src.m:
-            raise AssertionError("defining polynomial did not split")
+            raise VerificationError("defining polynomial did not split")
         # coherence: the image of each lower generator must be preserved
         for u in sorted(self.levels):
             if u in (s, t) or s % u or self.levels[u].m < 2:
@@ -543,7 +543,7 @@ class FieldTower:
                     survivors.append(z)
             roots = survivors
             if not roots:  # pragma: no cover - coherence always satisfiable
-                raise AssertionError("no coherent embedding root")
+                raise VerificationError("no coherent embedding root")
         z = min(roots, key=lambda c: _coeffs_to_int(c, self.p))
         dst.embed_from[s] = self._powers_matrix(z, src.m, dst)
 
@@ -684,7 +684,7 @@ def fixed_nonsquare(level):
         x = level.element(idx)
         if not is_square(x):
             return x
-    raise AssertionError("no nonsquare found")  # pragma: no cover
+    raise VerificationError("no nonsquare found")  # pragma: no cover
 
 
 def solve_diag_quadratic(alpha, beta, gamma, nontrivial=False):
@@ -707,6 +707,6 @@ def solve_diag_quadratic(alpha, beta, gamma, nontrivial=False):
             if nontrivial and not a and not b:
                 continue
             if alpha * a * a + beta * b * b != gamma:
-                raise AssertionError("quadratic solution does not check")
+                raise VerificationError("quadratic solution does not check")
             return (a, b)
     return None

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExhausted, InputError
-from .ff import FqElement, _mult_matrix, fixed_nonsquare, sqrt, \
-    solve_diag_quadratic
-from .linalg import Mat, matrix_order
+from .errors import BudgetExhausted, InputError, VerificationError
+from .ff import FqElement, _check_word_size, _mult_matrix, \
+    fixed_nonsquare, sqrt, solve_diag_quadratic
+from .linalg import Mat, _descend, matrix_order
 
 __all__ = [
     "BilinearFormFq", "LangInstance", "LangCertificate",
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 _LV_RETRY_CAP = 64
+# largest level k_rs a solve may build: the bench and test instances reach
+# rs = 12, and building GF(q^rs) costs time that grows with e * rs
+MAX_DEGREE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +139,7 @@ class LangInstance:
     form: BilinearFormFq = None
     trust_s: bool = False
     order_cap: int = 10 ** 6
+    max_degree: int = MAX_DEGREE
     norm: Mat = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -165,10 +169,9 @@ class LangInstance:
                 f"{r_true}")
         if cmat.level.r != r_true:
             # normalize the carrier to the minimal level
-            from .liealg import _descend
             low = _descend(cmat, self.tower.level(self.tower.extend(r_true)))
             if low is None:
-                raise AssertionError("F^r-fixed entries must descend")
+                raise VerificationError("F^r-fixed entries must descend")
             cmat = low
             if kind == "Torus":
                 self.c = [cmat.entry(i, i) for i in range(self.d)]
@@ -204,6 +207,14 @@ class LangInstance:
                 raise InputError(
                     f"claimed s = {self.s} but the norm order is {s_true}")
         self.rs = self.r * self.s
+        # k_rs must fit the int64 products (as in tower.extend, an input
+        # error) and the degree budget, before any level is built for it
+        if self.tower.e * self.rs > 1:
+            _check_word_size(0, self.tower.p, self.tower.e * self.rs)
+        if self.rs > self.max_degree:
+            raise BudgetExhausted(
+                f"a solution needs the level k_{self.rs} (r = {self.r}, "
+                f"s = {self.s}), past the degree budget {self.max_degree}")
 
 
 @dataclass
@@ -241,7 +252,7 @@ def min_field_degree(tower, g):
     for r in _divisors(t):
         if g.frobenius(r) == g:
             return r
-    raise AssertionError("F^level must fix the element")  # pragma: no cover
+    raise VerificationError("F^level must fix the element")  # pragma: no cover
 
 
 def norm_and_order(tower, c, r=None, cap=10 ** 6):
@@ -252,7 +263,7 @@ def norm_and_order(tower, c, r=None, cap=10 ** 6):
     for i in range(1, r):
         N = c.frobenius(i) @ N
     if not N.frobenius(r) == N:
-        raise AssertionError("norm not fixed by F^r")
+        raise VerificationError("norm not fixed by F^r")
     s = matrix_order(N, cap=cap)
     return N, s
 
@@ -286,7 +297,7 @@ def f_eigenspace_det(instance):
     from .linalg import fixed_space
     fixed = fixed_space(T)
     if fixed.nrows != d * tower.e:
-        raise AssertionError("eigenspace dimension mismatch")
+        raise VerificationError("eigenspace dimension mismatch")
     vectors = []
     for i in range(fixed.nrows):
         coeffs = [int(fixed.planes[0, i, t]) for t in range(d * m)]
@@ -297,7 +308,7 @@ def f_eigenspace_det(instance):
     basis = _select_k_basis(tower, vectors, d)
     for v in basis.rows():
         if v.frobenius(1) @ c != v:
-            raise AssertionError("basis vector not F-fixed")
+            raise VerificationError("basis vector not F-fixed")
     return basis
 
 
@@ -351,7 +362,7 @@ def _select_k_basis(tower, vectors, want):
         if len(chosen) == want:
             break
     if len(chosen) != want:
-        raise AssertionError("could not extract a k-basis")
+        raise VerificationError("could not extract a k-basis")
     return Mat.vstack(chosen)
 
 
@@ -382,7 +393,7 @@ def f_eigenspace_lv(instance, rng):
         if a.try_inverse() is None:
             continue
         if a.frobenius(1) @ c != a:
-            raise AssertionError("telescoping identity failed")
+            raise VerificationError("telescoping identity failed")
         return a, a
     raise BudgetExhausted(
         f"no invertible accumulate in {_LV_RETRY_CAP} draws")
@@ -410,12 +421,12 @@ def solve_sl(instance, rng):
     _, a = f_eigenspace_lv(instance, rng)
     vol = a.det()
     if vol.frobenius(1) != vol:
-        raise AssertionError("volume must lie in the base field")
+        raise VerificationError("volume must lie in the base field")
     scaled = a.copy()
     row0 = a.row(0) * vol.inverse()
     scaled.planes[:, 0, :] = row0.planes[:, 0, :]
     if scaled.det() != a.level.one:
-        raise AssertionError("scaled solution not in SL")
+        raise VerificationError("scaled solution not in SL")
     return verify(instance, scaled, strict=True)
 
 
@@ -441,7 +452,7 @@ def _solve_form_group(instance, rng):
     P = Mat.vstack(P_rows)
     M0 = P @ form.gram @ P.transpose()
     if not _is_canonical_gram(level1, form.kind, M0):
-        raise AssertionError("normal basis Gram not canonical")
+        raise VerificationError("normal basis Gram not canonical")
     norm_form = BilinearFormFq(form.kind, M0, form.delta)
     c = instance.c
     cP = (P.embed(c.level.r) @ c @ P.embed(c.level.r).inverse())
@@ -449,24 +460,25 @@ def _solve_form_group(instance, rng):
     Prs = P.embed(rs)
     sub = LangInstance(kind="GL", tower=tower, c=cP, r=instance.r,
                        s=instance.s, trust_s=True,
-                       order_cap=instance.order_cap)
+                       order_cap=instance.order_cap,
+                       max_degree=instance.max_degree)
     _, a_gl = f_eigenspace_lv(sub, rng)
     # rows of a_gl form a k-basis of E(k); the restricted form is over k
     B_rows = normal_basis(a_gl, norm_form)
     B = Mat.vstack(B_rows)
     G = B @ M0.embed(rs) @ B.transpose()
-    Gd = _descend_mat(G, level1)
+    Gd = _descend(G, level1)
     if Gd is None:
-        raise AssertionError("restricted Gram not over the base field")
+        raise VerificationError("restricted Gram not over the base field")
     if form.kind == "orthogonal":
         if not Gd == M0:
-            raise AssertionError(
+            raise VerificationError(
                 "normal eigenbasis Gram differs from the reference; "
                 "determinant classes forbid this for SO input")
         vol = B.det()
         volsq = vol * vol
         if volsq != B.level.one:
-            raise AssertionError("vol^2 != 1 in SO")
+            raise VerificationError("vol^2 != 1 in SO")
         if vol != B.level.one:
             half = (d - 1) // 2 if d % 2 else d // 2
             if M0 == canonical_gram(level1, "orthogonal", d, "split"):
@@ -474,10 +486,10 @@ def _solve_form_group(instance, rng):
             else:
                 B.planes[:, half, :] = (-B.planes[:, half, :]) % level1.p
         if B.det() != B.level.one:
-            raise AssertionError("SO solution has determinant != 1")
+            raise VerificationError("SO solution has determinant != 1")
     else:
         if Gd != M0:
-            raise AssertionError("symplectic Gram mismatch")
+            raise VerificationError("symplectic Gram mismatch")
     a_norm = B
     a = Prs.inverse() @ a_norm @ Prs
     return verify(instance, a, strict=True)
@@ -493,7 +505,8 @@ def solve_torus(instance, rng):
     for ci in instance.c:
         comp = LangInstance(kind="GL", tower=tower,
                             c=Mat.diagonal(ci.level, [ci]),
-                            order_cap=instance.order_cap)
+                            order_cap=instance.order_cap,
+                            max_degree=instance.max_degree)
         _, a = f_eigenspace_lv(comp, rng)
         out.append(a.embed(rs).entry(0, 0))
     return verify(instance, out, strict=True)
@@ -518,18 +531,6 @@ def solve(instance, rng):
 # Normal bases for forms (Witt-style recursion, odd characteristic)
 # ---------------------------------------------------------------------------
 
-def _descend_mat(M, level):
-    from .liealg import _descend
-    return _descend(M, level)
-
-
-def _descend_el(x, level):
-    out = _descend_mat(Mat.from_entries(x.level, [[x]]), level)
-    if out is None:
-        raise AssertionError("pairing value not in the base field")
-    return out.entry(0, 0)
-
-
 def normal_basis(rows, form):
     """A basis of the row space whose Gram matrix is bit-exactly one of the
     canonical matrices.  The construction is rational over the base field:
@@ -539,51 +540,57 @@ def normal_basis(rows, form):
     amb = rows.level
     gram = form.gram.embed(amb.r) if amb.r != 1 else form.gram
 
-    def pair(u, v):
-        val = (u @ gram @ v.transpose()).entry(0, 0)
-        return _descend_el(val, level1) if amb.r != 1 else val
+    def gram_of(U, V):
+        """The pairings of the rows of U with the rows of V, over k."""
+        block = U @ gram @ V.transpose()
+        if amb.r == 1:
+            return block
+        low = _descend(block, level1)
+        if low is None:
+            raise VerificationError("pairing value not in the base field")
+        return low
 
     def emb(x):
         from .ff import embed as _embed
         return _embed(x, amb.r) if amb.r != 1 else x
 
     if form.kind == "symplectic":
-        return _symplectic_normal_basis(rows, pair, emb, level1)
-    return _orthogonal_normal_basis(rows, pair, emb, level1, form.delta)
+        return _symplectic_normal_basis(rows, gram_of, emb)
+    return _orthogonal_normal_basis(rows, gram_of, emb, level1, form.delta)
 
 
-def _perp_in(rows, pair, emb, spans, level1):
+def _pair(gram_of, u, v):
+    return gram_of(u, v).entry(0, 0)
+
+
+def _first_nonzero(block, start=0):
+    """Index of the first nonzero entry of a 1 x n block from `start`."""
+    nz = np.flatnonzero(block.planes[:, 0, start:].any(axis=0))
+    return int(nz[0]) + start if nz.size else None
+
+
+def _perp_in(rows, gram_of, spans):
     """Rows of the subspace orthogonal to the given vectors."""
-    conds = []
-    for w in spans:
-        col = Mat.from_entries(level1, [[pair(rows.row(i), w)]
-                                        for i in range(rows.nrows)])
-        conds.append(col)
-    stacked = Mat.hstack(conds)
-    ker = stacked.left_kernel()
+    ker = gram_of(rows, Mat.vstack(spans)).left_kernel()
     return (ker.embed(rows.level.r) if rows.level.r != 1 else ker) @ rows
 
 
-def _symplectic_normal_basis(rows, pair, emb, level1):
+def _symplectic_normal_basis(rows, gram_of, emb):
     d = rows.nrows
     if d == 0:
         return []
     if d % 2:
         raise InputError("odd-dimensional symplectic space")
     u = rows.row(0)
-    v = None
-    for i in range(1, d):
-        if pair(u, rows.row(i)):
-            v = rows.row(i)
-            break
-    if v is None:
+    pairs = gram_of(u, rows)
+    i = _first_nonzero(pairs, 1)
+    if i is None:
         raise InputError("degenerate symplectic form")
-    v = v * emb(pair(u, v).inverse())
-    rest = _perp_in(rows, pair, emb, [u, v], level1)
+    v = rows.row(i) * emb(pairs.entry(0, i).inverse())
+    rest = _perp_in(rows, gram_of, [u, v])
     if rest.nrows != d - 2:
-        raise AssertionError("complement has the wrong dimension")
-    inner = _symplectic_normal_basis(rest, pair, emb, level1) if d > 2 \
-        else []
+        raise VerificationError("complement has the wrong dimension")
+    inner = _symplectic_normal_basis(rest, gram_of, emb) if d > 2 else []
     half_inner = len(inner) // 2
     xs = [u] + inner[:half_inner]
     ys = inner[half_inner:] + [v]
@@ -592,82 +599,87 @@ def _symplectic_normal_basis(rows, pair, emb, level1):
     return xs + ys
 
 
-def _find_anisotropic(rows, pair):
+def _find_anisotropic(rows, G):
+    """The first row, else the first sum r_i + r_j (i < j), of nonzero
+    norm; G is the symmetric Gram block of the rows.  Once every G_ii is
+    0, (r_i + r_j, r_i + r_j) = 2 G_ij, nonzero exactly when G_ij is in
+    odd characteristic."""
+    planes = G.planes
     d = rows.nrows
-    for i in range(d):
-        if pair(rows.row(i), rows.row(i)):
-            return rows.row(i)
-    for i in range(d):
-        for j in range(i + 1, d):
-            cand = rows.row(i) + rows.row(j)
-            if pair(cand, cand):
-                return cand
-    return None
+    nz = np.flatnonzero(planes[:, range(d), range(d)].any(axis=0))
+    if nz.size:
+        return rows.row(int(nz[0]))
+    nz = np.argwhere(np.triu(planes.any(axis=0), 1))
+    if not nz.size:
+        return None
+    i, j = (int(x) for x in nz[0])
+    return rows.row(i) + rows.row(j)
 
 
-def _find_isotropic(rows, pair, emb, level1, delta):
+def _find_isotropic(rows, gram_of, emb):
     """A nonzero isotropic vector, or None for anisotropic spaces."""
     d = rows.nrows
+    G = gram_of(rows, rows)
     for i in range(d):
-        if not pair(rows.row(i), rows.row(i)) and not rows.row(i).is_zero():
+        if not G.planes[:, i, i].any() and not rows.row(i).is_zero():
             return rows.row(i)
     if d < 2:
         return None
-    u = _find_anisotropic(rows, pair)
-    uu = pair(u, u)
-    rest = _perp_in(rows, pair, emb, [u], level1)
-    v = _find_anisotropic(rest, pair)
+    u = _find_anisotropic(rows, G)
+    uu = _pair(gram_of, u, u)
+    rest = _perp_in(rows, gram_of, [u])
+    v = _find_anisotropic(rest, gram_of(rest, rest))
     if v is None:
         return None
-    vv = pair(v, v)
+    vv = _pair(gram_of, v, v)
     if d == 2:
         # isotropic iff -vv/uu is a square
         root = sqrt(-vv / uu)
         if root is None:
             return None
         return u * emb(root) + v
-    w_rows = _perp_in(rows, pair, emb, [u, v], level1)
-    w = _find_anisotropic(w_rows, pair)
+    w_rows = _perp_in(rows, gram_of, [u, v])
+    w = _find_anisotropic(w_rows, gram_of(w_rows, w_rows))
     if w is None:
         # degenerate tail cannot happen for nondegenerate forms
         raise InputError("degenerate form detected mid-recursion")
-    ww = pair(w, w)
+    ww = _pair(gram_of, w, w)
     # (u,u)a^2 + (v,v)b^2 = -(w,w), always solvable over a finite field
     sol = solve_diag_quadratic(uu, vv, -ww)
     if sol is None:
-        raise AssertionError("isotropic vector equation unsolved")
+        raise VerificationError("isotropic vector equation unsolved")
     a, b = sol
     return u * emb(a) + v * emb(b) + w
 
 
-def _orthogonal_normal_basis(rows, pair, emb, level1, delta):
+def _orthogonal_normal_basis(rows, gram_of, emb, level1, delta):
     d = rows.nrows
     if d == 0:
         return []
     if d == 1:
         u = rows.row(0)
-        uu = pair(u, u)
+        uu = _pair(gram_of, u, u)
         if not uu:
             raise InputError("degenerate form detected mid-recursion")
         a = sqrt(uu)
         if a is None:
             a = sqrt(uu / delta)
             if a is None:
-                raise AssertionError("anisotropic line has no unit vector")
+                raise VerificationError("anisotropic line has no unit vector")
         return [u * emb(a.inverse())]
-    x = _find_isotropic(rows, pair, emb, level1, delta)
+    x = _find_isotropic(rows, gram_of, emb)
     if x is None:
         # anisotropic: only possible for d <= 2
         if d != 2:
-            raise AssertionError("anisotropic space of dimension > 2")
-        u = _find_anisotropic(rows, pair)
-        uu = pair(u, u)
-        rest = _perp_in(rows, pair, emb, [u], level1)
+            raise VerificationError("anisotropic space of dimension > 2")
+        u = _find_anisotropic(rows, gram_of(rows, rows))
+        uu = _pair(gram_of, u, u)
+        rest = _perp_in(rows, gram_of, [u])
         v = rest.row(0)
-        vv = pair(v, v)
+        vv = _pair(gram_of, v, v)
         sol = solve_diag_quadratic(uu, vv, level1.one)
         if sol is None:
-            raise AssertionError("anisotropic plane does not represent 1")
+            raise VerificationError("anisotropic plane does not represent 1")
         a, b = sol
         x1 = u * emb(a) + v * emb(b)
         # y0 = (v,v)b u - (u,u)a v is orthogonal to x1 with norm
@@ -676,32 +688,29 @@ def _orthogonal_normal_basis(rows, pair, emb, level1, delta):
         y0 = u * emb(vv * b) - v * emb(uu * a)
         t = sqrt(uu * vv / (-delta))
         if t is None:
-            raise AssertionError("plane is not anisotropic after all")
+            raise VerificationError("plane is not anisotropic after all")
         y1 = y0 * emb(t.inverse())
-        if pair(y1, y1) != -delta or pair(x1, y1):
-            raise AssertionError("anisotropic plane basis not normal")
+        if _pair(gram_of, y1, y1) != -delta or _pair(gram_of, x1, y1):
+            raise VerificationError("anisotropic plane basis not normal")
         return [x1, y1]
     # split off a hyperbolic pair through x
-    y = None
-    for i in range(d):
-        if pair(x, rows.row(i)):
-            y = rows.row(i)
-            break
-    if y is None:
-        raise AssertionError("degenerate form detected mid-recursion")
-    y = y * emb(pair(x, y).inverse())
-    yy = pair(y, y)
+    pairs = gram_of(x, rows)
+    i = _first_nonzero(pairs)
+    if i is None:
+        raise VerificationError("degenerate form detected mid-recursion")
+    y = rows.row(i) * emb(pairs.entry(0, i).inverse())
+    yy = _pair(gram_of, y, y)
     if yy:
         two_inv = (level1.one + level1.one).inverse()
         y = y - x * emb(yy * two_inv)
-        if pair(y, y):
-            raise AssertionError("hyperbolic partner not isotropic")
+        if _pair(gram_of, y, y):
+            raise VerificationError("hyperbolic partner not isotropic")
     if d == 2:
         return [x, y]
-    rest = _perp_in(rows, pair, emb, [x, y], level1)
+    rest = _perp_in(rows, gram_of, [x, y])
     if rest.nrows != d - 2:
-        raise AssertionError("complement has the wrong dimension")
-    inner = _orthogonal_normal_basis(rest, pair, emb, level1, delta)
+        raise VerificationError("complement has the wrong dimension")
+    inner = _orthogonal_normal_basis(rest, gram_of, emb, level1, delta)
     return [x] + inner + [y]
 
 
@@ -755,7 +764,7 @@ def verify(instance, a, strict=False):
     cert = LangCertificate(instance=instance, a=a, level=level.r,
                            s=instance.s, checks=checks, ok=ok)
     if strict and not ok:
-        raise AssertionError(f"verification failed: {checks}")
+        raise VerificationError(f"verification failed: {checks}")
     return cert
 
 
@@ -794,10 +803,10 @@ def random_group_element(tower, kind, d, level_r, rng, form=None):
                 continue
             g = (I - K) @ IK.inverse()
             if g @ M @ g.transpose() != M:
-                raise AssertionError("Cayley transform leaves the form")
+                raise VerificationError("Cayley transform leaves the form")
             if kind == "SO":
                 if g.det() != level.one:
-                    raise AssertionError("Cayley transform not in SO")
+                    raise VerificationError("Cayley transform not in SO")
             return g
     if kind == "Torus":
         return [level.element(rng.randrange(1, level.order))

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExhausted, InputError, RecognitionError
+from .errors import (BudgetExhausted, InputError, RecognitionError,
+                     VerificationError)
 from .ff import FqElement, _check_word_size
-from .linalg import Mat, _eliminate, _planes_matmul, factor
+from .linalg import Mat, _descend, _planes_matmul, factor
 
 log = logging.getLogger(__name__)
 
@@ -427,7 +428,7 @@ def p_power_mod_center(L, x, times=1):
                    target.planes.reshape(L.level.m, 1, L.dim * L.dim))
         sol = R.solve_left(flat)
         if sol is None:
-            raise AssertionError(
+            raise VerificationError(
                 "ad(y) = (ad x)^p has no solution; input is not p-closed")
         cur = sol
     return cur
@@ -543,7 +544,7 @@ def _restrict(W, A):
     img = W @ A
     R = W.solve_left(img)
     if R is None:
-        raise AssertionError("subspace not invariant")
+        raise VerificationError("subspace not invariant")
     return R
 
 
@@ -689,7 +690,7 @@ def _k2_root_pair(L, Q, Hq, Wq, rng):
             Ar = _restrict(S, A2)
             for g, mult in factor(Ar.charpoly(), rng):
                 if g.degree != 1:
-                    raise AssertionError("nonlinear eigenvalue over k_2")
+                    raise VerificationError("nonlinear eigenvalue over k_2")
                 ker = (g.eval_mat(Ar) ** mult).left_kernel()
                 if ker.nrows:
                     fresh.append((ker @ S).row_space())
@@ -705,40 +706,8 @@ def _k2_root_pair(L, Q, Hq, Wq, rng):
     u2 = v * gen + (v * gen).frobenius(L.level.r)
     base = _descend(Mat.vstack([u1, u2]), L.level)
     if base is None or base.row_space().nrows != 2:
-        raise AssertionError("no k-form found for the root pair")
+        raise VerificationError("no k-form found for the root pair")
     return base.row_space()
-
-
-def _descend(rows, level):
-    """Rows over an extension level whose entries all lie in the image of
-    the base level; returns their base-level preimages (or None)."""
-    pivots, body, tail = _descent_solver(rows.level, level)
-    p = level.p
-    targets = rows.planes.reshape(rows.level.m, -1).T % p
-    coeff = targets[:, pivots]
-    if not np.array_equal(coeff @ body % p, targets):
-        return None
-    return Mat(level, (coeff @ tail % p).T.reshape(
-        level.m, rows.nrows, rows.ncols))
-
-
-def _descent_solver(src, level):
-    """(pivots, body, tail) of the row-reduced [emb | I], emb being the
-    embedding of `level` into the level `src`: a coefficient row t of src
-    lies in the image when t[pivots] @ body = t, and its preimage is
-    t[pivots] @ tail.  Reduced once per pair and kept on `src`; the tuple
-    is stored whole, so a concurrent reader finds it complete or absent."""
-    solver = src._descents.get(level.r)
-    if solver is not None:
-        return solver
-    emb = src.embed_from[level.r] % level.p
-    m_low, m_high = emb.shape
-    aug = np.concatenate([emb, np.eye(m_low, dtype=np.int64)], axis=1)
-    pivots = _eliminate(aug[None], level.tower.prime_level())[0]
-    r = sum(c < m_high for c in pivots)
-    solver = (np.array(pivots[:r], dtype=np.intp), aug[:r, :m_high],
-              aug[:r, m_high:])
-    return src._descents.setdefault(level.r, solver)
 
 
 def split_maximal_toral_subalgebra(L, Z=None, rng=None, budgets=None,
@@ -863,21 +832,21 @@ def root_decomposition(L, H):
                 lam = -g.coeff(0)
                 ker = g.eval_mat(Ar).left_kernel()
                 if ker.nrows != mult:
-                    raise AssertionError("ad h not diagonalizable")
+                    raise VerificationError("ad h not diagonalizable")
                 fresh.append((weights + (lam,), (ker @ W).row_space()))
         spaces = fresh
     out = {}
     for weights, W in spaces:
         if all(not w for w in weights):
             if W.row_space() != H.basis:
-                raise AssertionError("zero weight space exceeds H")
+                raise VerificationError("zero weight space exceeds H")
             continue
         if W.nrows != 1:
-            raise AssertionError("root space dimension exceeds one")
+            raise VerificationError("root space dimension exceeds one")
         out[weights] = W
     if L.rd is not None:
         if len(out) != L.rd.num_roots:
-            raise AssertionError("root line count mismatch")
+            raise VerificationError("root line count mismatch")
     return out
 
 
@@ -930,7 +899,7 @@ class _WeightSystem:
             else:
                 break
             if down > 4:
-                raise AssertionError("runaway root string")
+                raise VerificationError("runaway root string")
         up = 0
         cur = lam
         while True:
@@ -940,7 +909,7 @@ class _WeightSystem:
             else:
                 break
             if up > 4:
-                raise AssertionError("runaway root string")
+                raise VerificationError("runaway root string")
         return down - up
 
 
@@ -1043,9 +1012,9 @@ def _try_chevalley(L, rd, rng, budgets):
                 a = t.entry(0, c) / (two * ec)
                 break
         if a is None or not a:
-            raise AssertionError("degenerate sl2 normalization")
+            raise VerificationError("degenerate sl2 normalization")
         if t != e * (two * a):
-            raise AssertionError("sl2 relation failed")
+            raise VerificationError("sl2 relation failed")
         eneg = f * a.inverse()
         e_rows[ridx] = e
         e_rows[rd.neg(ridx)] = eneg
@@ -1105,14 +1074,14 @@ def _solve_h_basis(L, rd, H, lines, simples, h_alpha):
                           level.element(P[j][i] % level.p))
     sol = sysm.solve_left(rhs)
     if sol is None:
-        raise AssertionError("h-basis system inconsistent")
+        raise VerificationError("h-basis system inconsistent")
     rows = []
     for i in range(n):
         coeff = sol.take_cols(range(i * k, (i + 1) * k))
         rows.append(coeff @ Hb)
     h_rows = Mat.vstack(rows)
     if h_rows.row_space().nrows != n:
-        raise AssertionError("h_i do not form a basis")
+        raise VerificationError("h_i do not form a basis")
     return h_rows
 
 
@@ -1186,13 +1155,13 @@ def random_inner_automorphism(L, rd, rng, word_length=6):
         N2 = N @ N
         N3 = N2 @ N
         if not (N3 @ N).is_zero():
-            raise AssertionError("ad e_alpha is not 4-step nilpotent")
+            raise VerificationError("ad e_alpha is not 4-step nilpotent")
         expN = Mat.identity(level, d) + N + N2 * inv2 + N3 * inv6
         g = g @ expN
     # verify: transporting the bracket along g reproduces the tensor
     Lg = scramble_basis(L, g, check=False)
     if not np.array_equal(Lg.tensor, L.tensor):
-        raise AssertionError("automorphism fails bracket preservation")
+        raise VerificationError("automorphism fails bracket preservation")
     return g
 
 

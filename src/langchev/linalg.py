@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExhausted, InputError
+from .errors import BudgetExhausted, InputError, VerificationError
 from .ff import (FqElement, _check_word_size, _int_to_coeffs, _list_divmod,
                  _trim)
 
@@ -489,6 +489,43 @@ def _eliminate(planes, level):
     return pivots, leads, swaps
 
 
+def _descend(rows, level):
+    """Rows over an extension level whose entries all lie in the image of
+    the base level; returns their base-level preimages (or None)."""
+    pivots, body, tail = _descent_solver(rows.level, level)
+    p = level.p
+    if level.m == 1:
+        # GF(p) embeds as the constants: the one pivot is plane 0
+        if rows.planes[1:].any():
+            return None
+        return Mat(level, rows.planes[:1].copy())
+    targets = rows.planes.reshape(rows.level.m, -1).T % p
+    coeff = targets[:, pivots]
+    if not np.array_equal(coeff @ body % p, targets):
+        return None
+    return Mat(level, (coeff @ tail % p).T.reshape(
+        level.m, rows.nrows, rows.ncols))
+
+
+def _descent_solver(src, level):
+    """(pivots, body, tail) of the row-reduced [emb | I], emb being the
+    embedding of `level` into the level `src`: a coefficient row t of src
+    lies in the image when t[pivots] @ body = t, and its preimage is
+    t[pivots] @ tail.  Reduced once per pair and kept on `src`; the tuple
+    is stored whole, so a concurrent reader finds it complete or absent."""
+    solver = src._descents.get(level.r)
+    if solver is not None:
+        return solver
+    emb = src.embed_from[level.r] % level.p
+    m_low, m_high = emb.shape
+    aug = np.concatenate([emb, np.eye(m_low, dtype=np.int64)], axis=1)
+    pivots = _eliminate(aug[None], level.tower.prime_level())[0]
+    r = sum(c < m_high for c in pivots)
+    solver = (np.array(pivots[:r], dtype=np.intp), aug[:r, :m_high],
+              aug[:r, m_high:])
+    return src._descents.setdefault(level.r, solver)
+
+
 # ---------------------------------------------------------------------------
 # Polynomials
 # ---------------------------------------------------------------------------
@@ -500,11 +537,15 @@ class PolyFq:
     __slots__ = ("level", "planes")
 
     def __init__(self, level, planes):
-        # normalize: strip trailing zero coefficients
-        nz = np.nonzero(planes.any(axis=0))[0]
-        n = int(nz[-1]) + 1 if nz.size else 0
+        # normalize: strip trailing zero coefficients (a Python-level test
+        # of the last one first, which is nonzero for most inputs)
+        n = planes.shape[1]
+        if n and not any(planes[:, n - 1].tolist()):
+            nz = np.nonzero(planes.any(axis=0))[0]
+            n = int(nz[-1]) + 1 if nz.size else 0
+            planes = planes[:, :n]
         self.level = level
-        self.planes = planes[:, :n]
+        self.planes = planes
 
     @classmethod
     def from_coeffs(cls, level, coeffs):
@@ -916,7 +957,7 @@ def factor(f, rng):
                         x = PolyFq.x(f.level)
                     xq = x.pow_mod(f.level.order ** irr.degree, irr)
                     if not (xq - x).is_zero():
-                        raise AssertionError("factor failed certification")
+                        raise VerificationError("factor failed certification")
                 out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree,
                             [c.to_int() for c in t[0].coeffs()]))
@@ -1066,7 +1107,7 @@ def _list_factor(f, p, rng):
             for irr in _list_equal_degree_split(prod, d, p, rng):
                 if len(irr) > 2 and _list_pow_mod(
                         [0, 1], p ** (len(irr) - 1), irr, p) != [0, 1]:
-                    raise AssertionError("factor failed certification")
+                    raise VerificationError("factor failed certification")
                 out.append((irr, mult))
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
@@ -1100,7 +1141,10 @@ def _factor_int(n, rng):
     out = {}
     for d in range(2, 100000):
         if d * d > n:
-            break
+            # trial division passed sqrt(n): what is left is 1 or a prime
+            if n > 1:
+                out[n] = out.get(n, 0) + 1
+            return out
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -1119,14 +1163,31 @@ def _factor_int(n, rng):
     return out
 
 
+def _coefficient_level(f):
+    """f moved down to the smallest level holding all its coefficients,
+    among the constructed levels whose degree divides its own.  No level
+    is built."""
+    src = f.level
+    levels = src.tower.levels
+    for r in sorted(levels):
+        if r >= src.r or src.r % r:
+            continue
+        low = _descend(Mat(src, f.planes[:, None, :]), levels[r])
+        if low is not None:
+            return PolyFq(low.level, low.planes[:, 0, :])
+    return f
+
+
 def matrix_order(M, cap=10 ** 6, rng=None):
     """Least t >= 1 with M^t = I.
 
-    Factors the characteristic polynomial to bound the order, factors the
-    bound and finds the order's part at each of its primes by divide and
-    conquer (`_order_from_multiple`), which also checks that M^bound = I;
-    when the integer factorizations resist the budget, falls back to plain
-    iteration up to ``cap``.
+    Factors the characteristic polynomial over the smallest level holding
+    its coefficients (`_coefficient_level`) to bound the order: a factor of
+    degree k over GF(q') has its roots in GF(q'^k), and multiplicities do
+    not depend on the level.  Factors the bound and finds the order's part
+    at each of its primes by divide and conquer (`_order_from_multiple`),
+    which also checks that M^bound = I; when the integer factorizations
+    resist the budget, falls back to plain iteration up to ``cap``.
     """
     import random as _random
     rng = rng or _random.Random(0)
@@ -1136,10 +1197,11 @@ def matrix_order(M, cap=10 ** 6, rng=None):
     # cp(0) = (-1)^n det M
     if not cp.planes[:, 0].any():
         raise InputError("matrix_order needs an invertible matrix")
-    q = M.level.order
+    cp = _coefficient_level(cp)
+    q = cp.level.order
     facs = factor(cp, rng)
     if any(f.degree == 0 for f, _ in facs):  # pragma: no cover
-        raise AssertionError
+        raise VerificationError("constant irreducible factor")
     bound = 1
     max_mult = max(mult for _, mult in facs)
     for f, _ in facs:
@@ -1168,18 +1230,18 @@ def _order_from_multiple(A, items, ident):
     A single prime's part is found by raising A to the l-th power until it
     is I, at most v times; more primes split into halves L and R, solved on
     A^(prod R) and A^(prod L).  Every leaf raises A^(B / l^v) to l^v, so
-    each one tests A^B = I and raises AssertionError when it fails: a bound
-    that misses part of the order never yields a wrong one."""
+    each one tests A^B = I and raises VerificationError when it fails: a
+    bound that misses part of the order never yields a wrong one."""
     if not items:
         if not A == ident:
-            raise AssertionError("order bound violated")
+            raise VerificationError("order bound violated")
         return 1
     if len(items) == 1:
         (ell, v), = items
         e = 0
         while not A == ident:
             if e == v:
-                raise AssertionError("order bound violated")
+                raise VerificationError("order bound violated")
             A = A ** ell
             e += 1
         return ell ** e

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EnumerationGate, InputError
+from .errors import EnumerationGate, InputError, VerificationError
 
 __all__ = [
     "RootDatum", "WeylElement", "build", "extraspecial_pair",
@@ -228,7 +228,7 @@ class RootDatum:
                     total += c[i] * c[j] * int(self.cartan[i, j]) \
                         * self.halfnorms[j]
         if total % 2:
-            raise AssertionError("odd pairing of two roots")
+            raise VerificationError("odd pairing of two roots")
         return total // 2
 
     def root_index(self, coords):
@@ -258,7 +258,7 @@ class RootDatum:
                         * self.halfnorms[b]
         dj = self._halfnorm_of_root[j]
         if total % dj:
-            raise AssertionError("coroot pairing not integral")
+            raise VerificationError("coroot pairing not integral")
         return total // dj
 
     def _build_lattice_coords(self):
@@ -285,7 +285,7 @@ class RootDatum:
         for i in range(self.num_roots):
             if sum(x * y for x, y in
                    zip(self.root_X[i], self.coroot_Y[i])) != 2:
-                raise AssertionError(f"<alpha, alpha^*> != 2 at root {i}")
+                raise VerificationError(f"<alpha, alpha^*> != 2 at root {i}")
 
     def _coroot_simple_coords(self, i):
         """Coordinates of alpha_i^* in the simple coroot basis."""
@@ -295,7 +295,7 @@ class RootDatum:
         for j in range(self.l):
             v = c[j] * self.halfnorms[j]
             if v % da:
-                raise AssertionError("coroot coordinates not integral")
+                raise VerificationError("coroot coordinates not integral")
             out.append(v // da)
         return tuple(out)
 
@@ -314,7 +314,7 @@ class RootDatum:
                     best = (a, b)
                     break  # positives are scanned in the fixed order
             if best is None:
-                raise AssertionError(f"no extraspecial pair for root {k}")
+                raise VerificationError(f"no extraspecial pair for root {k}")
             self.extraspecial[k] = best
 
     def _string_down(self, i, j):
@@ -366,11 +366,12 @@ class RootDatum:
                         * self._nval(N, a, bmg)
                 den = self._nval(N, k, self.neg(g))
                 if den == 0 or t % den:
-                    raise AssertionError(
+                    raise VerificationError(
                         f"structure constant at {a},{b} not integral")
                 n = t // den
                 if n == 0:
-                    raise AssertionError(f"zero structure constant at {a},{b}")
+                    raise VerificationError(
+                        f"zero structure constant at {a},{b}")
                 N[(a, b)] = n
                 N[(b, a)] = -n
         # fill the complete table
@@ -382,7 +383,7 @@ class RootDatum:
                     v = self._nval(N, i, j)
                     expected = self._string_down(i, j) + 1
                     if abs(v) != expected:
-                        raise AssertionError(
+                        raise VerificationError(
                             f"|N| mismatch at {i},{j}: {v} vs {expected}")
         return N
 
@@ -411,13 +412,13 @@ class RootDatum:
                 # (j, z) both negative: N(i,j)/ (z,z) = N(j,z)/(i,i)
                 num = self._nval(N, j, z) * dz
                 if num % di:
-                    raise AssertionError("structure constant not integral")
+                    raise VerificationError("structure constant not integral")
                 v = num // di
             else:
                 # (z, i) both positive: N(i,j)/(z,z) = N(z,i)/(j,j)
                 num = self._nval(N, z, i) * dz
                 if num % dj:
-                    raise AssertionError("structure constant not integral")
+                    raise VerificationError("structure constant not integral")
                 v = num // dj
         N[(i, j)] = v
         return v
@@ -483,7 +484,7 @@ class RootDatum:
         gens = [tuple(self.simple_reflection(j).perm) for j in range(self.l)]
         chain = _StabilizerChain(gens, self.num_roots)
         if chain.order() != order:
-            raise AssertionError("Weyl enumeration miscount")
+            raise VerificationError("Weyl enumeration miscount")
         if columns is None:
             columns = range(self.num_roots)
         yield from chain.iter_chunks(np.array(columns, dtype=_ROOT_DTYPE))
@@ -541,7 +542,7 @@ class WeylElement:
         for i in range(l):
             for j in range(l):
                 if M[i][j].denominator != 1:
-                    raise AssertionError("w does not preserve Y")
+                    raise VerificationError("w does not preserve Y")
                 out[i, j] = int(M[i][j])
         self._ymat = out
         return out
@@ -861,14 +862,14 @@ def _ipoly_divexact(a, b):
     for k in range(len(out) - 1, -1, -1):
         c = a[k + len(b) - 1]
         if c % b[-1]:
-            raise AssertionError("nonexact polynomial division")
+            raise VerificationError("nonexact polynomial division")
         q = c // b[-1]
         out[k] = q
         if q:
             for i, y in enumerate(b):
                 a[k + i] -= q * y
     if any(a):
-        raise AssertionError("nonexact polynomial division")
+        raise VerificationError("nonexact polynomial division")
     return out
 
 
@@ -892,7 +893,7 @@ def det_one_minus_xw(w):
         N = M @ N + out[-1] * eye
         trace = -np.trace(M @ N)
         if trace % k:
-            raise AssertionError("nonexact Faddeev-LeVerrier division")
+            raise VerificationError("nonexact Faddeev-LeVerrier division")
         out.append(trace // k)
     return out
 

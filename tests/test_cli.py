@@ -121,11 +121,60 @@ def test_lang_degree_past_word_size_is_input_error(capsys):
     assert "2147483647" in err and "Traceback" not in err
 
 
-def _outputs_with_and_without_optimize(argv):
+def _cli_env():
     import langchev
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(langchev.__file__))]
         + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+@pytest.mark.parametrize("p, s", [(257, 172), (10007, 10006)])
+def test_lang_degree_past_budget_exits_3(p, s):
+    # the norm order s needs the level k_s; building it took longer than
+    # any timeout before the degree budget was checked first
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "langchev.cli", "lang", "--group", "GL",
+         "--p", str(p), "--c", "[[2,3],[5,7]]"], env=_cli_env(),
+        capture_output=True, text=True, timeout=20)
+    assert time.perf_counter() - start < 10
+    assert done.returncode == 3 and done.stdout == ""
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and f"k_{s} " in err[0] and "64" in err[0]
+
+
+def test_lang_max_degree_flag(capsys):
+    # 2 has order 4 mod 5, so the solution lives in GF(5^4)
+    argv = ["lang", "--group", "GL", "--p", "5", "--c", "[[2]]"]
+    code, out = run(argv + ["--max-degree", "3"])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert "k_4 " in err and "budget 3" in err
+    code, out = run(argv + ["--max-degree", "4"])
+    assert code == 0 and json.loads(out)["level"] == "5^(1*4)"
+
+
+def test_verification_failure_exits_6(monkeypatch, capsys):
+    from langchev import linalg
+    from langchev.errors import LangchevError, VerificationError
+    assert issubclass(VerificationError, AssertionError)
+    assert issubclass(VerificationError, LangchevError)
+    factor_int = linalg._factor_int
+
+    def dropping(n, rng):  # the bound loses its 2: 3 has order 6 mod 7
+        out = factor_int(n, rng)
+        out.pop(2, None)
+        return out
+
+    monkeypatch.setattr(linalg, "_factor_int", dropping)
+    code, out = run(["lang", "--group", "GL", "--p", "7", "--c", "[[3]]"])
+    assert code == 6 and out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["verification failed: order bound violated"]
+
+
+def _outputs_with_and_without_optimize(argv):
+    env = _cli_env()
     outs = []
     for flags in ([], ["-O"]):
         done = subprocess.run([sys.executable, *flags, "-m", "langchev.cli",

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from langchev import ff, lang
-from langchev.errors import InputError
+from langchev.errors import BudgetExhausted, InputError
 from langchev.lang import (
     BilinearFormFq, LangInstance, Mat, canonical_gram, f_eigenspace_det,
     f_eigenspace_lv, min_field_degree, norm_and_order, normal_basis,
@@ -327,6 +327,25 @@ def test_solve_torus_trusts_the_dispatched_instance(monkeypatch):
     assert len(calls) == len(c)
 
 
+def test_degree_budget_is_checked_before_any_level_is_built():
+    t = ff.make_tower(5)
+    lvl = t.level(1)
+    two = lvl.scalar(2)  # order 4 mod 5: the solution lives in k_4
+    with pytest.raises(BudgetExhausted, match="k_4 .*budget 3"):
+        LangInstance(kind="GL", tower=t, c=Mat.diagonal(lvl, [two]),
+                     max_degree=3)
+    # a trusted s is held to the budget as well
+    with pytest.raises(BudgetExhausted, match="k_100 "):
+        LangInstance(kind="GL", tower=t, c=Mat.identity(lvl, 1), s=100,
+                     trust_s=True)
+    # the torus components inherit it: here only they see the true s
+    inst = LangInstance(kind="Torus", tower=t, c=[two], s=1, trust_s=True,
+                        max_degree=3)
+    with pytest.raises(BudgetExhausted, match="k_4 "):
+        solve_torus(inst, random.Random(0))
+    assert sorted(t.levels) == [1]
+
+
 def test_solve_dispatch_uses_rng_for_torus():
     t = tower(5)
     lvl = t.level(t.extend(2))
@@ -387,3 +406,187 @@ def test_certificate_min_degree_is_rs():
         for div in range(1, inst.rs):
             if inst.rs % div == 0:
                 assert not cert.a.frobenius(div) == cert.a
+
+
+def _reference_normal_basis(rows, form):
+    """normal_basis as it ran before Gram blocks: every pairing is one
+    scalar u G v^T, descended to k on its own, and every scan and every
+    complement condition is built one pairing at a time.  Returns the
+    normal basis and the complement routine."""
+    level1, r = form.gram.level, rows.level.r
+    gram = form.gram.embed(r)
+
+    def pair(u, v):
+        val = u @ gram @ v.transpose()
+        return (val if r == 1 else lang._descend(val, level1)).entry(0, 0)
+
+    def emb(x):
+        return ff.embed(x, r)
+
+    def perp(R, spans):
+        cols = [Mat.from_entries(level1, [[pair(R.row(i), w)]
+                                          for i in range(R.nrows)])
+                for w in spans]
+        return Mat.hstack(cols).left_kernel().embed(r) @ R
+
+    def anisotropic(R):
+        for i in range(R.nrows):
+            if pair(R.row(i), R.row(i)):
+                return R.row(i)
+        for i, j in itertools.combinations(range(R.nrows), 2):
+            cand = R.row(i) + R.row(j)
+            if pair(cand, cand):
+                return cand
+        return None
+
+    def isotropic(R):
+        d = R.nrows
+        for i in range(d):
+            if not pair(R.row(i), R.row(i)) and not R.row(i).is_zero():
+                return R.row(i)
+        if d < 2:
+            return None
+        u = anisotropic(R)
+        uu = pair(u, u)
+        v = anisotropic(perp(R, [u]))
+        if v is None:
+            return None
+        vv = pair(v, v)
+        if d == 2:
+            root = ff.sqrt(-vv / uu)
+            return None if root is None else u * emb(root) + v
+        w = anisotropic(perp(R, [u, v]))
+        a, b = ff.solve_diag_quadratic(uu, vv, -pair(w, w))
+        return u * emb(a) + v * emb(b) + w
+
+    def symplectic(R):
+        if R.nrows == 0:
+            return []
+        u = R.row(0)
+        v = next(R.row(i) for i in range(1, R.nrows) if pair(u, R.row(i)))
+        v = v * emb(pair(u, v).inverse())
+        inner = symplectic(perp(R, [u, v]))
+        half = len(inner) // 2
+        return [u] + inner[:half] + inner[half:] + [v]
+
+    def orthogonal(R):
+        d = R.nrows
+        if d == 0:
+            return []
+        if d == 1:
+            u = R.row(0)
+            uu = pair(u, u)
+            a = ff.sqrt(uu) or ff.sqrt(uu / form.delta)
+            return [u * emb(a.inverse())]
+        x = isotropic(R)
+        if x is None:
+            u = anisotropic(R)
+            uu = pair(u, u)
+            v = perp(R, [u]).row(0)
+            vv = pair(v, v)
+            a, b = ff.solve_diag_quadratic(uu, vv, level1.one)
+            y0 = u * emb(vv * b) - v * emb(uu * a)
+            t = ff.sqrt(uu * vv / (-form.delta))
+            return [u * emb(a) + v * emb(b), y0 * emb(t.inverse())]
+        y = next(R.row(i) for i in range(d) if pair(x, R.row(i)))
+        y = y * emb(pair(x, y).inverse())
+        yy = pair(y, y)
+        if yy:
+            y = y - x * emb(yy / (level1.one + level1.one))
+        if d == 2:
+            return [x, y]
+        return [x] + orthogonal(perp(R, [x, y])) + [y]
+
+    basis = symplectic(rows) if form.kind == "symplectic" \
+        else orthogonal(rows)
+    return basis, pair, perp
+
+
+def _random_form(lvl, kind, d, rng):
+    while True:
+        A = Mat.random(lvl, d, d, rng)
+        M = A - A.transpose() if kind == "symplectic" else A + A.transpose()
+        if M.try_inverse() is not None:
+            return BilinearFormFq(kind, M)
+
+
+def test_find_anisotropic_scans_as_the_pairing_loop():
+    # the loop _find_anisotropic replaced: rows first, then the sums
+    # r_i + r_j in the order (0, 1), (0, 2), ..., (1, 2), ...
+    def loop(rows, gram):
+        def norm(u):
+            return (u @ gram @ u.transpose()).entry(0, 0)
+        for i in range(rows.nrows):
+            if norm(rows.row(i)):
+                return rows.row(i)
+        for i, j in itertools.combinations(range(rows.nrows), 2):
+            if norm(rows.row(i) + rows.row(j)):
+                return rows.row(i) + rows.row(j)
+        return None
+
+    rng = random.Random(14)
+    for p, e in [(5, 1), (7, 1), (3, 2)]:
+        lvl = tower(p, e).level(1)
+        for d in range(1, 7):
+            for _ in range(12):
+                # symmetric, mostly zero diagonal, sparse off it
+                gram = Mat.zeros(lvl, d, d)
+                for i, j in itertools.combinations_with_replacement(
+                        range(d), 2):
+                    if rng.random() < (0.1 if i == j else 0.3):
+                        x = lvl.element(rng.randrange(1, lvl.order))
+                        gram.set_entry(i, j, x)
+                        gram.set_entry(j, i, x)
+                rows = Mat.random(lvl, d, d, rng) if rng.random() < 0.3 \
+                    else Mat.identity(lvl, d)
+                G = rows @ gram @ rows.transpose()
+                assert lang._find_anisotropic(rows, G) == loop(rows, gram)
+
+
+@pytest.mark.parametrize("p, e", [(5, 1), (7, 1), (3, 2)])
+def test_gram_blocks_match_the_pairing_at_a_time_reference(monkeypatch, p,
+                                                           e):
+    t = tower(p, e)
+    lvl = t.level(1)
+    rng = random.Random(1400 + 10 * p + e)
+    calls, perps = [], []
+    real_normal_basis, real_perp_in = lang.normal_basis, lang._perp_in
+
+    def spy_normal_basis(rows, form):
+        out = real_normal_basis(rows, form)
+        calls.append((rows, form, out))
+        return out
+
+    def spy_perp_in(rows, gram_of, spans):
+        out = real_perp_in(rows, gram_of, spans)
+        perps.append((rows, spans, out))
+        return out
+
+    monkeypatch.setattr(lang, "normal_basis", spy_normal_basis)
+    monkeypatch.setattr(lang, "_perp_in", spy_perp_in)
+    # the bases the seeded Sp and SO solves normalize, at levels 1 and rs
+    for kind, d in [("Sp", 2), ("Sp", 4), ("SO", 3), ("SO", 4), ("SO", 5)]:
+        inst = None
+        while inst is None:
+            inst = random_instance(t, kind, d, 2, rng, max_rs=4)
+        assert solve(inst, rng).ok
+    # random forms on random bases over k
+    for kind, d in [("symplectic", 4), ("orthogonal", 2),
+                    ("orthogonal", 3), ("orthogonal", 6)]:
+        form = _random_form(lvl, kind, d, rng)
+        while True:
+            rows = Mat.random(lvl, d, d, rng)
+            if rows.try_inverse() is not None:
+                break
+        spy_normal_basis(rows, form)
+    assert {rows.level.r for rows, _, _ in calls} == {1, 2}
+    assert perps
+    for rows, form, out in calls:
+        perps.clear()
+        want, pair, perp = _reference_normal_basis(rows, form)
+        assert len(out) == len(want)
+        assert all(a == b for a, b in zip(out, want))
+        # every complement it takes equals the one built entry by entry
+        real_normal_basis(rows, form)
+        for sub, spans, got in perps:
+            assert got == perp(sub, spans)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from langchev import ff, liealg, rootdata
+from langchev import ff, liealg, linalg, rootdata
 from langchev.errors import InputError
 from langchev.liealg import (
     Budgets, Mat, bracket, center, centralizer, from_root_datum,
@@ -667,11 +667,11 @@ def test_descend_roundtrip():
     rng = random.Random(4)
     M = Mat.random(lvl1, 2, 3, rng)
     up = M.embed(2)
-    down = liealg._descend(up, lvl1)
+    down = linalg._descend(up, lvl1)
     assert down == M
     # an element outside the base level cannot descend
     up.planes[:, 0, 0] = lvl2.element([0, 1]).coeffs
-    assert liealg._descend(up, lvl1) is None
+    assert linalg._descend(up, lvl1) is None
 
 
 def test_p_power_on_recovered_basis():
@@ -738,7 +738,7 @@ def test_descend_matches_per_entry_oracle(p, e, lo, hi):
     for shape in [(1, 1), (2, 3), (4, 1), (3, 5)]:
         M = Mat.random(low, *shape, rng)
         up = M.embed(hi)
-        got = liealg._descend(up, low)
+        got = linalg._descend(up, low)
         assert got == M == _descend_per_entry(up, low)
         # one entry moved off the image by adding the generator zeta of the
         # high level, which lies in no proper subfield: neither descends
@@ -746,15 +746,15 @@ def test_descend_matches_per_entry_oracle(p, e, lo, hi):
         i, j = rng.randrange(shape[0]), rng.randrange(shape[1])
         bad.planes[1, i, j] = (bad.planes[1, i, j] + 1) % p
         assert _descend_per_entry(bad, low) is None
-        assert liealg._descend(bad, low) is None
+        assert linalg._descend(bad, low) is None
         # random rows over the high level rarely descend; agree either way
         R = Mat.random(high, *shape, rng)
         want = _descend_per_entry(R, low)
-        got = liealg._descend(R, low)
+        got = linalg._descend(R, low)
         assert (got is None) if want is None else (got == want)
     # the reduced system is made once per (level, lower level) pair
     solver = high._descents[lo]
-    liealg._descend(M.embed(hi), low)
+    linalg._descend(M.embed(hi), low)
     assert high._descents[lo] is solver
 
 
@@ -769,8 +769,8 @@ def test_descent_solver_published_whole_to_concurrent_readers():
 
     def work():
         start.wait(timeout=10)
-        solvers.append(liealg._descent_solver(high, low))
-        results.append(liealg._descend(up, low))
+        solvers.append(linalg._descent_solver(high, low))
+        results.append(linalg._descend(up, low))
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

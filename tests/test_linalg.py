@@ -334,6 +334,127 @@ def test_matrix_order_exact_when_dropped_prime_is_not_in_the_order(
     assert linalg.matrix_order(M) == 3
 
 
+# Towers over GF(p^e) with the levels 1 .. 4 built, for the level tests.
+_level_towers = {}
+
+
+def _level_tower(p, e):
+    if (p, e) not in _level_towers:
+        t = ff.make_tower(p, e)
+        for r in (2, 3, 4):
+            t.extend(r)
+        _level_towers[(p, e)] = t
+    return _level_towers[(p, e)]
+
+
+def _norm(c, r):
+    """c^(F^(r-1)) ... c^F c: its characteristic polynomial lies over k."""
+    N = c
+    for i in range(1, r):
+        N = c.frobenius(i) @ N
+    return N
+
+
+# An n x n matrix whose characteristic polynomial has coefficients in
+# GF(Q) has order at most about Q^n, so the brute force below steps through
+# at most _STEP_LIMIT powers.  Each case is (kind, p, e, r, n) with Q the
+# size of the level holding the coefficients: the carrier k_r for generic
+# matrices, k = GF(p^e) for norms, and k_2 for matrices embedded from k_2
+# into k_4.
+_STEP_LIMIT = 2500
+LEVEL_ORDER_CASES = [
+    (kind, p, e, r, n)
+    for p in (3, 5, 7) for e in (1, 2) for r in (1, 2, 3, 4)
+    for n in (1, 2, 3, 4)
+    for kind, Q in [("generic", p ** (e * r)), ("norm", p ** e),
+                    ("embedded", p ** (2 * e) if r == 4 else None)]
+    if Q is not None and Q ** n <= _STEP_LIMIT]
+
+
+@st.composite
+def level_order_case(draw):
+    """An invertible matrix over k_r from one of LEVEL_ORDER_CASES: a
+    random one or a conjugate of lambda I + N (generic), the norm of a
+    random c over k_r (norm), or a random matrix over k_2 embedded into
+    k_4 (embedded)."""
+    kind = draw(st.sampled_from(["generic", "norm", "embedded"]))
+    kind, p, e, r, n = draw(st.sampled_from(
+        [case for case in LEVEL_ORDER_CASES if case[0] == kind]))
+    t = _level_tower(p, e)
+    src = t.level(2 if kind == "embedded" else r)
+    elems = st.integers(0, src.order - 1)
+    P = Mat.from_entries(src, [[draw(elems) for _ in range(n)]
+                               for _ in range(n)])
+    assume(P.try_inverse() is not None)
+    if kind == "embedded":
+        return P.embed(4)
+    if kind == "norm":
+        return _norm(P, r)
+    if draw(st.booleans()):
+        J = Mat.diagonal(src, [draw(st.integers(1, src.order - 1))] * n)
+        for i in range(n - 1):
+            J.set_entry(i, i + 1, int(draw(st.booleans())))
+        return P.inverse() @ J @ P
+    return P
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(level_order_case())
+def test_matrix_order_over_the_coefficient_level_matches_brute_force(M):
+    assert linalg.matrix_order(M) == _brute_order(M)
+
+
+def test_matrix_order_builds_no_level():
+    # GF(5^4) with and without GF(25) built: the same matrices, the same
+    # orders, and neither tower gains a level
+    full, bare = ff.make_tower(5), ff.make_tower(5)
+    full.extend(2)
+    full.extend(4)
+    bare.extend(4)
+    assert np.array_equal(full.level(4).embed_from[1],
+                          bare.level(4).embed_from[1])
+    rng = random.Random(14)
+    cases = []
+    while len(cases) < 6:
+        M = Mat.random(full.level(2 if len(cases) < 3 else 4), 2, 2, rng)
+        if M.try_inverse() is not None:
+            cases.append(M.embed(4))
+    cases.append(_norm(cases[-1], 4))
+    for M in cases:
+        levels = [sorted(t.levels) for t in (full, bare)]
+        got = linalg.matrix_order(M)
+        assert got == linalg.matrix_order(Mat(bare.level(4), M.planes))
+        assert [sorted(t.levels) for t in (full, bare)] == levels
+        assert M ** got == Mat.identity(M.level, 2)
+
+
+def test_norm_charpoly_is_factored_at_level_one(monkeypatch):
+    seen = []
+    real_factor = linalg.factor
+
+    def spy(f, rng):
+        seen.append(f.level.r)
+        return real_factor(f, rng)
+
+    monkeypatch.setattr(linalg, "factor", spy)
+    rng = random.Random(3)
+    for p, e, r in [(5, 1, 3), (7, 1, 4), (3, 2, 2), (5, 2, 4)]:
+        t = _level_tower(p, e)
+        while True:
+            c = Mat.random(t.level(r), 3, 3, rng)
+            if c.try_inverse() is not None and c.frobenius(1) != c:
+                break
+        seen.clear()
+        linalg.matrix_order(_norm(c, r))
+        assert seen == [1]
+        # c itself is not F-stable: its polynomial stays at the carrier
+        seen.clear()
+        linalg.matrix_order(c)
+        assert seen == [r]
+
+
 def test_fixed_space_examples():
     L5 = lvl(5)
     assert linalg.fixed_space(Mat.identity(L5, 3)).nrows == 3
