@@ -479,10 +479,8 @@ class FieldTower:
             raise InputError(f"r = {r} must be >= 1")
         if r in self.levels:
             return r
-        m = self.e * r
-        if m > 1:  # the level's tables are int64; m = 1 uses Python ints
-            _check_word_size(0, self.p, m)
-        level = Level(self, r, *_defining_tables(self, m))
+        self.check_degree(r)
+        level = Level(self, r, *_defining_tables(self, self.e * r))
         self.levels[r] = level
         # embeddings from existing divisors, in increasing order so that
         # coherence constraints are available when each one is built
@@ -494,6 +492,12 @@ class FieldTower:
             if t != r and t % r == 0:
                 self._build_embedding(r, t)
         return r
+
+    def check_degree(self, r):
+        """InputError unless the products of level k_r fit int64.  Its
+        tables are int64; at degree e r = 1 they hold Python ints."""
+        if self.e * r > 1:
+            _check_word_size(0, self.p, self.e * r)
 
     def prime_level(self):
         """GF(p) as a level: level 1 when e = 1, else the one cached per

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExhausted, InputError, VerificationError
-from .ff import FqElement, _check_word_size, _mult_matrix, \
-    fixed_nonsquare, sqrt, solve_diag_quadratic
+from .ff import FqElement, _mult_matrix, fixed_nonsquare, sqrt, \
+    solve_diag_quadratic
 from .linalg import Mat, _descend, matrix_order
 
 __all__ = [
@@ -207,10 +207,9 @@ class LangInstance:
                 raise InputError(
                     f"claimed s = {self.s} but the norm order is {s_true}")
         self.rs = self.r * self.s
-        # k_rs must fit the int64 products (as in tower.extend, an input
-        # error) and the degree budget, before any level is built for it
-        if self.tower.e * self.rs > 1:
-            _check_word_size(0, self.tower.p, self.tower.e * self.rs)
+        # k_rs must fit the int64 products (an input error, as in
+        # tower.extend) and the degree budget, before any level is built
+        self.tower.check_degree(self.rs)
         if self.rs > self.max_degree:
             raise BudgetExhausted(
                 f"a solution needs the level k_{self.rs} (r = {self.r}, "

@@ -494,11 +494,6 @@ def _descend(rows, level):
     the base level; returns their base-level preimages (or None)."""
     pivots, body, tail = _descent_solver(rows.level, level)
     p = level.p
-    if level.m == 1:
-        # GF(p) embeds as the constants: the one pivot is plane 0
-        if rows.planes[1:].any():
-            return None
-        return Mat(level, rows.planes[:1].copy())
     targets = rows.planes.reshape(rows.level.m, -1).T % p
     coeff = targets[:, pivots]
     if not np.array_equal(coeff @ body % p, targets):
@@ -537,15 +532,11 @@ class PolyFq:
     __slots__ = ("level", "planes")
 
     def __init__(self, level, planes):
-        # normalize: strip trailing zero coefficients (a Python-level test
-        # of the last one first, which is nonzero for most inputs)
-        n = planes.shape[1]
-        if n and not any(planes[:, n - 1].tolist()):
-            nz = np.nonzero(planes.any(axis=0))[0]
-            n = int(nz[-1]) + 1 if nz.size else 0
-            planes = planes[:, :n]
+        # normalize: strip trailing zero coefficients
+        nz = np.nonzero(planes.any(axis=0))[0]
+        n = int(nz[-1]) + 1 if nz.size else 0
         self.level = level
-        self.planes = planes
+        self.planes = planes[:, :n]
 
     @classmethod
     def from_coeffs(cls, level, coeffs):
@@ -1141,10 +1132,7 @@ def _factor_int(n, rng):
     out = {}
     for d in range(2, 100000):
         if d * d > n:
-            # trial division passed sqrt(n): what is left is 1 or a prime
-            if n > 1:
-                out[n] = out.get(n, 0) + 1
-            return out
+            break
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -1164,30 +1152,26 @@ def _factor_int(n, rng):
 
 
 def _coefficient_level(f):
-    """f moved down to the smallest level holding all its coefficients,
-    among the constructed levels whose degree divides its own.  No level
-    is built."""
-    src = f.level
-    levels = src.tower.levels
-    for r in sorted(levels):
-        if r >= src.r or src.r % r:
-            continue
-        low = _descend(Mat(src, f.planes[:, None, :]), levels[r])
-        if low is not None:
-            return PolyFq(low.level, low.planes[:, 0, :])
-    return f
+    """f moved down to level 1 when all its coefficients lie there (as a
+    Lang norm's do), else f itself."""
+    if f.level.r == 1:
+        return f
+    low = _descend(Mat(f.level, f.planes[:, None, :]),
+                   f.level.tower.level(1))
+    return f if low is None else PolyFq(low.level, low.planes[:, 0, :])
 
 
 def matrix_order(M, cap=10 ** 6, rng=None):
     """Least t >= 1 with M^t = I.
 
-    Factors the characteristic polynomial over the smallest level holding
-    its coefficients (`_coefficient_level`) to bound the order: a factor of
-    degree k over GF(q') has its roots in GF(q'^k), and multiplicities do
-    not depend on the level.  Factors the bound and finds the order's part
-    at each of its primes by divide and conquer (`_order_from_multiple`),
-    which also checks that M^bound = I; when the integer factorizations
-    resist the budget, falls back to plain iteration up to ``cap``.
+    Factors the characteristic polynomial over level 1 when its
+    coefficients lie there (`_coefficient_level`), else over the carrier,
+    to bound the order: a factor of degree k over GF(q') has its roots in
+    GF(q'^k), and multiplicities do not depend on the level.  Factors the
+    bound and finds the order's part at each of its primes by divide and
+    conquer (`_order_from_multiple`), which also checks that M^bound = I;
+    when the integer factorizations resist the budget, falls back to plain
+    iteration up to ``cap``.
     """
     import random as _random
     rng = rng or _random.Random(0)

@@ -358,9 +358,9 @@ def _norm(c, r):
 # An n x n matrix whose characteristic polynomial has coefficients in
 # GF(Q) has order at most about Q^n, so the brute force below steps through
 # at most _STEP_LIMIT powers.  Each case is (kind, p, e, r, n) with Q the
-# size of the level holding the coefficients: the carrier k_r for generic
-# matrices, k = GF(p^e) for norms, and k_2 for matrices embedded from k_2
-# into k_4.
+# size of the smallest level holding the coefficients: the carrier k_r for
+# generic matrices, k = GF(p^e) for norms, and k_2 for matrices embedded
+# from k_2 into k_4 (whose polynomial matrix_order factors over k_4).
 _STEP_LIMIT = 2500
 LEVEL_ORDER_CASES = [
     (kind, p, e, r, n)
@@ -453,6 +453,12 @@ def test_norm_charpoly_is_factored_at_level_one(monkeypatch):
         seen.clear()
         linalg.matrix_order(c)
         assert seen == [r]
+    # diag(zeta, 1), zeta = X generating k_2 = GF(25): the coefficient
+    # zeta of its polynomial is not in GF(5), so k_4 factors it
+    M = Mat.diagonal(_level_tower(5, 1).level(2), [5, 1]).embed(4)
+    seen.clear()
+    assert linalg.matrix_order(M) == _brute_order(M)
+    assert seen == [4]
 
 
 def test_fixed_space_examples():
