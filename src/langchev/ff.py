@@ -105,12 +105,29 @@ def _irreducible_tables(f, plevel):
 
 def _defining_tables(tower, m):
     """(f, powers, frob_p) for the first monic irreducible f of degree m over
-    GF(p), enumerating its non-leading coefficients as a base-p counter."""
+    GF(p), enumerating its non-leading coefficients as a base-p counter.
+
+    The first p - 1 candidates are the binomials X^m + c.  X^m - a with
+    a != 0 is irreducible exactly when every prime l | m divides p - 1 and
+    a is not an l-th power, a^((p-1)/l) != 1, and p = 1 mod 4 when 4 | m
+    (Lidl and Niederreiter, Finite Fields, Thm 3.75).  Binomials that fail
+    this are skipped untested, all of them at once when p and m alone rule
+    them out, so the candidate order and its first irreducible are
+    unchanged; the accepted candidate is still tested, since that test
+    builds its tables."""
     if m == 1:
         return (0, 1), np.ones((1, 1), np.int64), np.ones((1, 1), np.int64)
+    p = tower.p
     plevel = tower.prime_level()
-    for idx in itertools.count(1):  # X^m itself is reducible
-        f = _int_to_coeffs(idx, tower.p, m) + (1,)
+    primes = [ell for ell in range(2, m + 1) if m % ell == 0 and is_prime(ell)]
+    binomials = (all((p - 1) % ell == 0 for ell in primes)
+                 and (m % 4 or p % 4 == 1))
+    # X^m itself is reducible
+    for idx in itertools.count(1 if binomials else p):
+        if idx < p and any(pow(p - idx, (p - 1) // ell, p) == 1
+                           for ell in primes):
+            continue
+        f = _int_to_coeffs(idx, p, m) + (1,)
         tables = _irreducible_tables(f, plevel)
         if tables is not None:
             return (f,) + tables

@@ -115,7 +115,7 @@ class BilinearFormFq:
         else:
             if not self.gram == Mt:
                 raise InputError("orthogonal Gram must be symmetric")
-        if self.gram.try_inverse() is None:
+        if not self.gram.det():
             raise InputError("form is degenerate")
         if self.delta is None:
             self.delta = fixed_nonsquare(level)
@@ -158,7 +158,8 @@ class LangInstance:
             self.d = cmat.nrows
             if cmat.nrows != cmat.ncols:
                 raise InputError("c must be square")
-            if cmat.try_inverse() is None:
+            det = cmat.det()
+            if not det:
                 raise InputError("c must be invertible")
         r_true = min_field_degree(self.tower, cmat)
         if self.r is None:
@@ -188,8 +189,8 @@ class LangInstance:
             if not cmat @ G @ cmat.transpose() == G:
                 raise InputError("c does not preserve the form")
         if kind in ("SL", "SO"):
-            det = cmat.det()
-            if det != cmat.level.one:
+            # det was taken of c as given, before any descent
+            if det != det.level.one:
                 # for SO this is the disconnected coset: no solution exists
                 raise InputError(
                     "det(c) != 1; the twisted equation has no solution "
@@ -373,8 +374,9 @@ def _cmat(instance):
 
 def f_eigenspace_lv(instance, rng):
     """Las Vegas eigenspace: a = sum_i x^(F^i) c^(F^(i-1)) ... c for random
-    x, accepted when invertible.  Returns (basis rows of E(k), a); the rows
-    of a themselves are the F-eigenvectors and a is the GL solution."""
+    x, accepted when invertible, accumulated by Horner's rule as
+    a <- x + a^F c.  Returns (basis rows of E(k), a); the rows of a
+    themselves are the F-eigenvectors and a is the GL solution."""
     tower = instance.tower
     rs = tower.extend(instance.rs)
     c = _cmat(instance).embed(rs)
@@ -383,13 +385,9 @@ def f_eigenspace_lv(instance, rng):
     for _ in range(_LV_RETRY_CAP):
         x = Mat.random(level, d, d, rng)
         a = x
-        prefix = c
-        xf = x
         for _ in range(1, instance.rs):
-            xf = xf.frobenius(1)
-            a = a + xf @ prefix
-            prefix = prefix.frobenius(1) @ c
-        if a.try_inverse() is None:
+            a = x + a.frobenius(1) @ c
+        if not a.det():
             continue
         if a.frobenius(1) @ c != a:
             raise VerificationError("telescoping identity failed")
@@ -454,9 +452,9 @@ def _solve_form_group(instance, rng):
         raise VerificationError("normal basis Gram not canonical")
     norm_form = BilinearFormFq(form.kind, M0, form.delta)
     c = instance.c
-    cP = (P.embed(c.level.r) @ c @ P.embed(c.level.r).inverse())
+    Pinv = P.inverse()  # over level 1, where P lives
+    cP = P.embed(c.level.r) @ c @ Pinv.embed(c.level.r)
     rs = tower.extend(instance.rs)
-    Prs = P.embed(rs)
     sub = LangInstance(kind="GL", tower=tower, c=cP, r=instance.r,
                        s=instance.s, trust_s=True,
                        order_cap=instance.order_cap,
@@ -490,7 +488,7 @@ def _solve_form_group(instance, rng):
         if Gd != M0:
             raise VerificationError("symplectic Gram mismatch")
     a_norm = B
-    a = Prs.inverse() @ a_norm @ Prs
+    a = Pinv.embed(rs) @ a_norm @ P.embed(rs)
     return verify(instance, a, strict=True)
 
 
@@ -779,10 +777,10 @@ def random_group_element(tower, kind, d, level_r, rng, form=None):
     if kind in ("GL", "SL"):
         while True:
             g = Mat.random(level, d, d, rng)
-            if g.try_inverse() is not None:
+            det = g.det()
+            if det:
                 break
         if kind == "SL":
-            det = g.det()
             row0 = g.row(0) * det.inverse()
             g.planes[:, 0, :] = row0.planes[:, 0, :]
         return g
@@ -797,10 +795,10 @@ def random_group_element(tower, kind, d, level_r, rng, form=None):
                 A = A + A.transpose()          # symmetric
             K = A @ Minv
             I = Mat.identity(level, d)
-            IK = I + K
-            if IK.try_inverse() is None:
+            IKinv = (I + K).try_inverse()
+            if IKinv is None:
                 continue
-            g = (I - K) @ IK.inverse()
+            g = (I - K) @ IKinv
             if g @ M @ g.transpose() != M:
                 raise VerificationError("Cayley transform leaves the form")
             if kind == "SO":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, InputError, VerificationError
 from .ff import (FqElement, _check_word_size, _int_to_coeffs, _list_divmod,
-                 _trim)
+                 _mult_matrix, _trim)
 
 __all__ = [
     "Mat", "PolyFq", "rref", "kernel", "solve", "det", "charpoly",
@@ -52,11 +52,15 @@ def _planes_matmul(a, b, level):
 
 
 def _planes_scale(coeffs, planes, level):
-    """Every entry of a plane stack times the field element coeffs."""
-    m = level.m
-    s = np.asarray(coeffs, dtype=np.int64).reshape(m, 1, 1)
-    flat = planes.reshape(m, 1, planes.size // m)
-    return _planes_matmul(s, flat, level).reshape(planes.shape)
+    """Every entry of a plane stack times the field element coeffs: one
+    m x m GF(p) product with the matrix of x -> x c (`ff._mult_matrix`),
+    whose sums have at most m terms, or one entrywise product at m = 1."""
+    m, p = level.m, level.p
+    _check_word_size(1, p, m)
+    if m == 1:
+        return planes * int(coeffs[0]) % p
+    mult = _mult_matrix(coeffs, level)
+    return (mult.T @ planes.reshape(m, -1) % p).reshape(planes.shape)
 
 
 class Mat:
@@ -440,15 +444,19 @@ def _eliminate(planes, level):
     Rows at or below the current rank are zero left of the current column,
     so swaps, scaling and updates touch only the columns from it on.  At
     m = 1 the inverse is one pow(a, -1, p) and the update one np.outer of
-    the column's nonzero entries with the pivot row, each product below
-    (p-1)^2, so p must pass the same word-size bound as a plane product;
-    at m >= 2 scaling and the update are plane products."""
+    the column's nonzero entries with the pivot row.  At m >= 2 the pivot
+    row is scaled by one `_planes_scale`, and each nonzero entry f_i of the
+    column is expanded into the matrix of x -> x f_i through `Level.fold`,
+    so the update is one product of those R matrices with the scaled row:
+    R m^3 + R m^2 k multiply-adds for R rows and k columns.  Every sum has
+    at most m terms, each below (p-1)^2, so p must pass the word-size
+    bound of a plane product of inner dimension 1."""
     m, nrows, ncols = planes.shape
     p = level.p
     pivots, leads, swaps = [], [], 0
-    if m == 1:
-        _check_word_size(1, p, 1)
+    _check_word_size(1, p, m)
     a = planes[0]
+    fold = level.fold.reshape(m, m * m)
     rank = 0
     for col in range(ncols):
         if rank == nrows:
@@ -472,17 +480,19 @@ def _eliminate(planes, level):
                 a[rows, col:] = (a[rows, col:]
                                  - np.outer(f[rows], row)) % p
         else:
-            lead = FqElement(level,
-                             tuple(int(c) for c in planes[:, rank, col]))
-            row = _planes_scale(lead.inverse().coeffs,
-                                planes[:, rank:rank + 1, col:], level)
-            planes[:, rank:rank + 1, col:] = row
+            lead = FqElement(level, tuple(planes[:, rank, col].tolist()))
+            row = _planes_scale(lead.inverse().coeffs, planes[:, rank, col:],
+                                level)
+            planes[:, rank, col:] = row
             f = planes[:, :, col].copy()
             f[:, rank] = 0
             rows = f.any(axis=0).nonzero()[0]
             if rows.size:
-                upd = _planes_matmul(f[:, rows, None], row, level)
-                planes[:, rows, col:] = (planes[:, rows, col:] - upd) % p
+                # mults[i, t, s]: coefficient s of f_i zeta^t
+                mults = (f[:, rows].T @ fold % p).reshape(-1, m, m)
+                upd = mults.transpose(2, 0, 1).reshape(-1, m) @ row
+                planes[:, rows, col:] = (planes[:, rows, col:]
+                                         - upd.reshape(m, rows.size, -1)) % p
         leads.append(lead)
         pivots.append(col)
         rank += 1

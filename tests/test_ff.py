@@ -2,7 +2,9 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 
@@ -256,6 +258,57 @@ def test_defpoly_is_first_candidate_sympy_accepts(p):
                                                       range(2 * m - 1)))
         assert np.array_equal(level.frob_p, _pow_rows(
             want, p, range(0, p * m, p)))
+
+
+def _plain_scan(p, m):
+    """The first candidate of degree m >= 2 over GF(p) that passes the
+    Berlekamp test, every candidate from X^m + 1 on tested in turn."""
+    plevel = ff._prime_level(p)
+    return next(f for f in itertools.islice(_candidates(p, m), 1, None)
+                if ff._irreducible_tables(f, plevel) is not None)
+
+
+def test_defpoly_skips_reducible_binomials_as_the_plain_scan():
+    # the binomials X^m + c come first; Lidl-Niederreiter Thm 3.75 skips
+    # the reducible ones, which leaves the first irreducible candidate as
+    # it was: none at m = 3, p = 2 mod 3, or m = 4, p = 3 mod 4, some
+    # binomial at m = 2 and odd p
+    primes = [p for p in range(5, 258) if ff.is_prime(p)]
+    for p in primes:
+        for m in range(2, 13):
+            got = ff._defining_tables(ff.make_tower(p), m)[0]
+            assert got == _plain_scan(p, m), (p, m)
+
+
+def test_extend_skips_every_binomial_when_none_is_irreducible(monkeypatch):
+    # 3 does not divide 65536 and 10007 = 3 mod 4, so no binomial of those
+    # degrees is irreducible; each of the p - 1 used to be tested
+    tested = []
+    berlekamp = ff._irreducible_tables
+
+    def recorded(f, plevel):
+        tested.append(f)
+        return berlekamp(f, plevel)
+
+    monkeypatch.setattr(ff, "_irreducible_tables", recorded)
+    for p, m in ((65537, 3), (10007, 4)):
+        del tested[:]
+        ff._defining_tables(ff.make_tower(p), m)
+        assert tested and all(any(f[1:m]) for f in tested), (p, m)
+    monkeypatch.undo()
+    import langchev
+    src = os.path.dirname(os.path.dirname(langchev.__file__))
+    code = ("import sys, time; from langchev import ff; "
+            "t = time.perf_counter(); "
+            "ff.make_tower(int(sys.argv[1])).extend(int(sys.argv[2])); "
+            "print(time.perf_counter() - t)")
+    for p, m in ((65537, 3), (10007, 4)):
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(p), str(m)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 0.3, (p, m, done.stdout)
 
 
 def _rank_mod(rows, p):

@@ -590,3 +590,72 @@ def test_gram_blocks_match_the_pairing_at_a_time_reference(monkeypatch, p,
         real_normal_basis(rows, form)
         for sub, spans, got in perps:
             assert got == perp(sub, spans)
+
+
+# ---------------------------------------------------------------------------
+# Input contract: invertibility by one determinant
+# ---------------------------------------------------------------------------
+
+def _so3_reflection(lvl):
+    """Swapping the first and last axes preserves the split form A_3 and
+    has determinant -1."""
+    g = Mat.zeros(lvl, 3, 3)
+    g.planes[0, 0, 2] = g.planes[0, 1, 1] = g.planes[0, 2, 0] = 1
+    return g
+
+
+@pytest.mark.parametrize("kind", ["GL", "SL", "Sp", "SO"])
+def test_singular_c_is_refused_before_any_other_check(kind):
+    t = tower(5)
+    c = Mat.from_int_rows(t.level(1), [[1, 2], [2, 4]])
+    with pytest.raises(InputError, match="c must be invertible"):
+        LangInstance(kind=kind, tower=t, c=c)
+
+
+def test_det_and_form_messages_are_kept():
+    t = tower(5)
+    lvl = t.level(1)
+    t.extend(2)
+    for r in (1, 2):  # c given over k_2 descends to k after its det
+        with pytest.raises(InputError, match=r"SL requires det\(c\) = 1"):
+            LangInstance(kind="SL", tower=t,
+                         c=Mat.diagonal(lvl, [2, 2]).embed(r))
+        inst = LangInstance(kind="SL", tower=t,
+                            c=Mat.diagonal(lvl, [2, 3]).embed(r))
+        assert inst.c.level is lvl
+    M = canonical_gram(lvl, "orthogonal", 3, "split")
+    with pytest.raises(InputError, match="no solution in this group"):
+        LangInstance(kind="SO", tower=t, c=_so3_reflection(lvl),
+                     form=BilinearFormFq("orthogonal", M))
+    for kind, gram in (("orthogonal", [[1, 2], [2, 4]]),
+                       ("symplectic", [[0, 0], [0, 0]])):
+        with pytest.raises(InputError, match="form is degenerate"):
+            BilinearFormFq(kind, Mat.from_int_rows(lvl, gram))
+
+
+def test_instance_and_eigenspace_run_no_inverse(monkeypatch):
+    # invertibility is one det of c, which SL and SO reuse; the eigenspace
+    # accumulate is accepted on its determinant too
+    t = tower(5)
+    cases = [("GL", random_instance(t, "GL", 2, 2, random.Random(1))),
+             ("SL", random_instance(t, "SL", 2, 2, random.Random(2))),
+             ("Sp", random_instance(t, "Sp", 2, 2, random.Random(3))),
+             ("SO", random_instance(t, "SO", 3, 2, random.Random(4)))]
+    calls = []
+
+    def no_inverse(self):
+        raise AssertionError("try_inverse called")
+
+    det = Mat.det
+
+    def counted_det(self):
+        calls.append(self)
+        return det(self)
+
+    monkeypatch.setattr(Mat, "try_inverse", no_inverse)
+    monkeypatch.setattr(Mat, "det", counted_det)
+    for kind, inst0 in cases:
+        del calls[:]
+        inst = LangInstance(kind=kind, tower=t, c=inst0.c, form=inst0.form)
+        assert len(calls) == 1 and calls[0] is inst0.c
+        f_eigenspace_lv(inst, random.Random(5))

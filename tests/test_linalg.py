@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -1111,16 +1112,16 @@ def _int_rref(rows, p):
     return a, pivots
 
 
-def _primes_around_word_bound():
-    """The largest prime p with (p-1)^2 < 2^63 and the next prime."""
-    root = math.isqrt((1 << 63) - 1) + 1
+def _primes_around_word_bound(m=1):
+    """The largest prime p with m^2 (p-1)^2 < 2^63 and the next prime."""
+    root = math.isqrt(((1 << 63) - 1) // m ** 2) + 1
     below = root
     while not ff.is_prime(below):
         below -= 1
     above = root + 1
     while not ff.is_prime(above):
         above += 1
-    assert (below - 1) ** 2 < 1 << 63 <= (above - 1) ** 2
+    assert m ** 2 * (below - 1) ** 2 < 1 << 63 <= m ** 2 * (above - 1) ** 2
     return below, above
 
 
@@ -1143,3 +1144,137 @@ def test_gfp_elimination_word_size_envelope(nrows, ncols, seed):
         M.rref()
     with pytest.raises(InputError):
         M.left_kernel()
+
+
+def _gf2_rref(rows, defpoly, p):
+    """Gauss-Jordan on (a0, a1) = a0 + a1 z pairs of Python ints, z^2 =
+    -f0 - f1 z for the level's defining polynomial (f0, f1, 1)."""
+    f0, f1 = defpoly[0], defpoly[1]
+
+    def mul(a, b):
+        t = a[1] * b[1]
+        return ((a[0] * b[0] - t * f0) % p,
+                (a[0] * b[1] + a[1] * b[0] - t * f1) % p)
+
+    def inv(a):  # a^(p^2 - 2)
+        out, n = (1, 0), p * p - 2
+        while n:
+            if n & 1:
+                out = mul(out, a)
+            a, n = mul(a, a), n >> 1
+        return out
+
+    a = [list(row) for row in rows]
+    pivots, rank = [], 0
+    for col in range(len(a[0]) if a else 0):
+        pr = next((i for i in range(rank, len(a)) if any(a[i][col])), None)
+        if pr is None:
+            continue
+        a[rank], a[pr] = a[pr], a[rank]
+        s = inv(a[rank][col])
+        a[rank] = [mul(x, s) for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and any(a[i][col]):
+                f = a[i][col]
+                a[i] = [tuple((u - v) % p for u, v in zip(x, mul(f, y)))
+                        for x, y in zip(a[i], a[rank])]
+        pivots.append(col)
+        rank += 1
+    return a, pivots
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2 ** 32))
+def test_plane_elimination_word_size_envelope(nrows, ncols, seed):
+    # at m = 2 the pivot's scale and update sum at most 2 products of
+    # residues, the fold of a plane product 4: the level's own bound
+    below, above = _primes_around_word_bound(2)
+    assert (below, above) == (1518500213, 1518500279)
+    L = lvl(below, 1, 2)
+    rng = random.Random(seed)
+    M = Mat.random(L, nrows, ncols, rng)
+    rows = [[tuple(int(c) for c in M.planes[:, i, j]) for j in range(ncols)]
+            for i in range(nrows)]
+    R, pivots = M.rref()
+    want, want_pivots = _gf2_rref(rows, L.defpoly, below)
+    assert pivots == want_pivots
+    assert [[tuple(int(c) for c in R.planes[:, i, j]) for j in range(ncols)]
+            for i in range(nrows)] == want
+    with pytest.raises(InputError):
+        ff.make_tower(above).extend(2)
+
+
+def _oracle_eliminate_planes(planes, level):
+    """The m >= 2 pivot as the per-pivot loop ran it: an FqElement
+    inverse, the pivot row scaled by a plane product with an (m, 1, 1)
+    stack, and a `_planes_matmul` rank-1 update of the other rows."""
+    m, nrows, ncols = planes.shape
+    p = level.p
+    pivots, leads, swaps, rank = [], [], 0, 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        nz = planes[:, rank:, col].any(axis=0).nonzero()[0]
+        if nz.size == 0:
+            continue
+        pr = rank + int(nz[0])
+        if pr != rank:
+            planes[:, [rank, pr], col:] = planes[:, [pr, rank], col:]
+            swaps += 1
+        lead = ff.FqElement(level, tuple(int(c) for c in planes[:, rank, col]))
+        s = np.array(lead.inverse().coeffs, dtype=np.int64).reshape(m, 1, 1)
+        row = linalg._planes_matmul(s, planes[:, rank:rank + 1, col:], level)
+        planes[:, rank:rank + 1, col:] = row
+        f = planes[:, :, col].copy()
+        f[:, rank] = 0
+        rows = f.any(axis=0).nonzero()[0]
+        if rows.size:
+            upd = linalg._planes_matmul(f[:, rows, None], row, level)
+            planes[:, rows, col:] = (planes[:, rows, col:] - upd) % p
+        leads.append(lead)
+        pivots.append(col)
+        rank += 1
+    return pivots, leads, swaps
+
+
+# m = 2, 6, 8 and 12 as (p, e, r); GF(9^6) reaches m = 12 over an e = 2 base
+PLANE_FIELDS = [(7, 1, 2), (5, 2, 3), (3, 1, 8), (3, 2, 6)]
+
+
+@functools.lru_cache(maxsize=None)
+def _plane_level(p, e, r):
+    return lvl(p, e, r)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(PLANE_FIELDS), st.integers(0, 6), st.integers(0, 7),
+       st.integers(0, 7), st.integers(0, 3), st.integers(0, 2 ** 32))
+def test_plane_elimination_matches_per_pivot_oracle(field, nrows, ncols,
+                                                    rank, zero_rows, seed):
+    L = _plane_level(*field)
+    assert L.m == field[1] * field[2]
+    rng = random.Random(seed)
+    k = min(rank, nrows, ncols)  # rank-deficient below min(nrows, ncols)
+    M = Mat.random(L, nrows, k, rng) @ Mat.random(L, k, ncols, rng)
+    # zero rows shuffled in make the pivot search swap rows
+    M = Mat.vstack([M, Mat.zeros(L, zero_rows, ncols)])
+    M = M.take_rows(rng.sample(range(M.nrows), M.nrows))
+    got, want = M.planes.copy(), M.planes.copy()
+    pivots, leads, swaps = linalg._eliminate(got, L)
+    assert (pivots, leads, swaps) == _oracle_eliminate_planes(want, L)
+    assert len(pivots) <= k and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", PLANE_FIELDS + [(7, 1, 1)])
+def test_planes_scale_matches_a_plane_product(field):
+    L = _plane_level(*field)
+    rng = random.Random(L.m)
+    planes = Mat.random(L, 3, 5, rng).planes
+    for _ in range(5):
+        c = L.element(rng.randrange(L.order)).coeffs
+        s = np.array(c, dtype=np.int64).reshape(L.m, 1, 1)
+        want = linalg._planes_matmul(s, planes.reshape(L.m, 1, -1), L)
+        got = linalg._planes_scale(c, planes, L)
+        assert got.shape == planes.shape
+        assert np.array_equal(got, want.reshape(planes.shape))
