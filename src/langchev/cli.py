@@ -12,6 +12,7 @@ exhausted, 4 recognition failure on external input, 5 enumeration gate,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -235,7 +236,9 @@ def cmd_weyl(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="seed for all randomness (default: "

@@ -3,26 +3,29 @@ Sp, SO and split tori over finite fields, with exact verification.
 
 The minimum field degree r of c and the order s of the norm element
 c^(F^(r-1)) ... c^F c determine the level k_rs where a solution lives; the
-returned element always has minimum field degree exactly rs.  Two
-F-eigenspace routines are provided: a deterministic one working over the
-prime field, and the randomized summation method whose accumulated matrix
-is itself the GL solution (the telescoping identity a^F c = a is asserted
-on every success).  SL, Sp and SO solutions are obtained from an eigenbasis
-normalized by volume or by a normal basis for the invariant form.
+returned element always has minimum field degree exactly rs.  A
+`LangInstance` validates c once; the solvers run the F-eigenspace on it at
+k_rs (a torus, per component at its own level) and build no further
+instances.  Two F-eigenspace routines are provided: a deterministic one
+over the prime field, and the randomized summation method whose accumulate
+is itself the GL solution (the telescoping identity a^F c = a is checked on
+every success) and whose determinant scales the SL solution.  Sp and SO
+solutions come from an eigenbasis normalized by a normal basis for the form.
 
 Everything returns verified certificates; verification is exact, entrywise,
-and reports the first failing relation on bad input.
+reports the first failing relation on bad input, and is the one det = 1
+check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExhausted, InputError, VerificationError
-from .ff import FqElement, _mult_matrix, fixed_nonsquare, sqrt, \
-    solve_diag_quadratic
+from .ff import FqElement, _mult_matrix, _poly_mul_reduce, embed, \
+    fixed_nonsquare, sqrt, solve_diag_quadratic
 from .linalg import Mat, _descend, matrix_order
 
 __all__ = [
@@ -140,7 +143,6 @@ class LangInstance:
     trust_s: bool = False
     order_cap: int = 10 ** 6
     max_degree: int = MAX_DEGREE
-    norm: Mat = field(default=None, repr=False)
 
     def __post_init__(self):
         kind = self.kind
@@ -170,10 +172,7 @@ class LangInstance:
                 f"{r_true}")
         if cmat.level.r != r_true:
             # normalize the carrier to the minimal level
-            low = _descend(cmat, self.tower.level(self.tower.extend(r_true)))
-            if low is None:
-                raise VerificationError("F^r-fixed entries must descend")
-            cmat = low
+            cmat = _at_level(self.tower, cmat, r_true)
             if kind == "Torus":
                 self.c = [cmat.entry(i, i) for i in range(self.d)]
             else:
@@ -196,25 +195,38 @@ class LangInstance:
                     "det(c) != 1; the twisted equation has no solution "
                     "in this group" if kind == "SO"
                     else "SL requires det(c) = 1")
-        if self.s is not None and self.trust_s:
-            self.norm = None  # caller vouches for s; skip the computation
-        else:
-            norm, s_true = norm_and_order(self.tower, cmat, self.r,
-                                          cap=self.order_cap)
-            self.norm = norm
+        if self.s is None or not self.trust_s:
+            # a trusted s skips the norm order
+            _, s_true = norm_and_order(self.tower, cmat, self.r,
+                                       cap=self.order_cap)
             if self.s is None:
                 self.s = s_true
             elif self.s != s_true:
                 raise InputError(
                     f"claimed s = {self.s} but the norm order is {s_true}")
         self.rs = self.r * self.s
-        # k_rs must fit the int64 products (an input error, as in
-        # tower.extend) and the degree budget, before any level is built
-        self.tower.check_degree(self.rs)
-        if self.rs > self.max_degree:
-            raise BudgetExhausted(
-                f"a solution needs the level k_{self.rs} (r = {self.r}, "
-                f"s = {self.s}), past the degree budget {self.max_degree}")
+        _check_budget(self.tower, self.r, self.s, self.max_degree)
+
+
+def _at_level(tower, cmat, r):
+    """cmat over k_r, which holds its entries."""
+    if cmat.level.r == r:
+        return cmat
+    low = _descend(cmat, tower.level(tower.extend(r)))
+    if low is None:
+        raise VerificationError("F^r-fixed entries must descend")
+    return low
+
+
+def _check_budget(tower, r, s, max_degree):
+    """k_rs must fit the int64 products (an input error, as in
+    tower.extend) and the degree budget, before any level is built."""
+    rs = r * s
+    tower.check_degree(rs)
+    if rs > max_degree:
+        raise BudgetExhausted(
+            f"a solution needs the level k_{rs} (r = {r}, s = {s}), past "
+            f"the degree budget {max_degree}")
 
 
 @dataclass
@@ -319,7 +331,6 @@ def _relative_coords(tower, x, sub_r=1):
     key = ("rel", sub_r)
     cache = level.__dict__.setdefault("_rel_cache", {})
     if key not in cache:
-        from .ff import embed, _poly_mul_reduce
         sub = tower.level(sub_r)
         ratio = level.m // sub.m
         rows = []
@@ -372,26 +383,27 @@ def _cmat(instance):
     return instance.c
 
 
-def f_eigenspace_lv(instance, rng):
-    """Las Vegas eigenspace: a = sum_i x^(F^i) c^(F^(i-1)) ... c for random
-    x, accepted when invertible, accumulated by Horner's rule as
-    a <- x + a^F c.  Returns (basis rows of E(k), a); the rows of a
-    themselves are the F-eigenvectors and a is the GL solution."""
-    tower = instance.tower
-    rs = tower.extend(instance.rs)
-    c = _cmat(instance).embed(rs)
-    d = instance.d
-    level = tower.level(rs)
+def f_eigenspace_lv(c, rs, rng):
+    """Las Vegas eigenspace of the carrier matrix c (over a level dividing
+    rs) at k_rs: a = sum_i x^(F^i) c^(F^(i-1)) ... c for random x, accepted
+    when invertible, accumulated by Horner's rule as a <- x + a^F c.
+    Returns (a, det a); the rows of a are a k-basis of the F-eigenvectors
+    E(k), and a itself is the GL solution."""
+    tower = c.level.tower
+    level = tower.level(tower.extend(rs))
+    c = c.embed(rs)
+    d = c.nrows
     for _ in range(_LV_RETRY_CAP):
         x = Mat.random(level, d, d, rng)
         a = x
-        for _ in range(1, instance.rs):
+        for _ in range(1, rs):
             a = x + a.frobenius(1) @ c
-        if not a.det():
+        det = a.det()
+        if not det:
             continue
         if a.frobenius(1) @ c != a:
             raise VerificationError("telescoping identity failed")
-        return a, a
+        return a, det
     raise BudgetExhausted(
         f"no invertible accumulate in {_LV_RETRY_CAP} draws")
 
@@ -403,7 +415,7 @@ def f_eigenspace_lv(instance, rng):
 def solve_gl(instance, rng):
     if instance.kind != "GL":
         raise InputError("solve_gl needs a GL instance")
-    _, a = f_eigenspace_lv(instance, rng)
+    a, _ = f_eigenspace_lv(instance.c, instance.rs, rng)
     return verify(instance, a, strict=True)
 
 
@@ -415,15 +427,12 @@ def volume(B):
 def solve_sl(instance, rng):
     if instance.kind != "SL":
         raise InputError("solve_sl needs an SL instance")
-    _, a = f_eigenspace_lv(instance, rng)
-    vol = a.det()
+    a, vol = f_eigenspace_lv(instance.c, instance.rs, rng)
     if vol.frobenius(1) != vol:
         raise VerificationError("volume must lie in the base field")
     scaled = a.copy()
     row0 = a.row(0) * vol.inverse()
     scaled.planes[:, 0, :] = row0.planes[:, 0, :]
-    if scaled.det() != a.level.one:
-        raise VerificationError("scaled solution not in SL")
     return verify(instance, scaled, strict=True)
 
 
@@ -455,11 +464,7 @@ def _solve_form_group(instance, rng):
     Pinv = P.inverse()  # over level 1, where P lives
     cP = P.embed(c.level.r) @ c @ Pinv.embed(c.level.r)
     rs = tower.extend(instance.rs)
-    sub = LangInstance(kind="GL", tower=tower, c=cP, r=instance.r,
-                       s=instance.s, trust_s=True,
-                       order_cap=instance.order_cap,
-                       max_degree=instance.max_degree)
-    _, a_gl = f_eigenspace_lv(sub, rng)
+    a_gl, _ = f_eigenspace_lv(cP, rs, rng)
     # rows of a_gl form a k-basis of E(k); the restricted form is over k
     B_rows = normal_basis(a_gl, norm_form)
     B = Mat.vstack(B_rows)
@@ -482,8 +487,6 @@ def _solve_form_group(instance, rng):
                 B.planes[:, [0, d - 1], :] = B.planes[:, [d - 1, 0], :]
             else:
                 B.planes[:, half, :] = (-B.planes[:, half, :]) % level1.p
-        if B.det() != B.level.one:
-            raise VerificationError("SO solution has determinant != 1")
     else:
         if Gd != M0:
             raise VerificationError("symplectic Gram mismatch")
@@ -500,11 +503,12 @@ def solve_torus(instance, rng):
     rs = tower.extend(instance.rs)
     out = []
     for ci in instance.c:
-        comp = LangInstance(kind="GL", tower=tower,
-                            c=Mat.diagonal(ci.level, [ci]),
-                            order_cap=instance.order_cap,
-                            max_degree=instance.max_degree)
-        _, a = f_eigenspace_lv(comp, rng)
+        c = Mat.diagonal(ci.level, [ci])
+        r = min_field_degree(tower, c)
+        c = _at_level(tower, c, r)
+        _, s = norm_and_order(tower, c, r, cap=instance.order_cap)
+        _check_budget(tower, r, s, instance.max_degree)
+        a, _ = f_eigenspace_lv(c, r * s, rng)
         out.append(a.embed(rs).entry(0, 0))
     return verify(instance, out, strict=True)
 
@@ -535,7 +539,7 @@ def normal_basis(rows, form):
     of the input rows are taken."""
     level1 = form.gram.level
     amb = rows.level
-    gram = form.gram.embed(amb.r) if amb.r != 1 else form.gram
+    gram = form.gram.embed(amb.r)
 
     def gram_of(U, V):
         """The pairings of the rows of U with the rows of V, over k."""
@@ -548,8 +552,7 @@ def normal_basis(rows, form):
         return low
 
     def emb(x):
-        from .ff import embed as _embed
-        return _embed(x, amb.r) if amb.r != 1 else x
+        return embed(x, amb.r)
 
     if form.kind == "symplectic":
         return _symplectic_normal_basis(rows, gram_of, emb)
@@ -569,7 +572,7 @@ def _first_nonzero(block, start=0):
 def _perp_in(rows, gram_of, spans):
     """Rows of the subspace orthogonal to the given vectors."""
     ker = gram_of(rows, Mat.vstack(spans)).left_kernel()
-    return (ker.embed(rows.level.r) if rows.level.r != 1 else ker) @ rows
+    return ker.embed(rows.level.r) @ rows
 
 
 def _symplectic_normal_basis(rows, gram_of, emb):
@@ -732,8 +735,7 @@ def verify(instance, a, strict=False):
     if inv is None:
         ok = False
     else:
-        c_emb = _cmat(instance).embed(level.r) if level.r != \
-            _cmat(instance).level.r else _cmat(instance)
+        c_emb = _cmat(instance).embed(level.r)
         lhs = inv.frobenius(1) @ amat
         eq = lhs == c_emb
         checks["lang_equation"] = eq

@@ -533,11 +533,11 @@ class WeylElement:
             return self._ymat
         rd = self.rd
         l = rd.l
-        C = [[Fraction(x) for x in rd.coroot_Y[rd.simple_indices[i]]]
-             for i in range(l)]
-        Cw = [[Fraction(x) for x in rd.coroot_Y[self.perm[
-            rd.simple_indices[i]]]] for i in range(l)]
-        M = _frac_solve(C, Cw)
+        # M solves C @ M = Cw, C the simple coroots (a basis of Y) and Cw
+        # their images: it is the right block of rref([C | Cw])
+        M = [row[l:] for row in _rref(
+            rd.coroot_Y[i] + rd.coroot_Y[self.perm[i]]
+            for i in rd.simple_indices)[0]]
         out = np.zeros((l, l), dtype=np.int64)
         for i in range(l):
             for j in range(l):
@@ -556,20 +556,25 @@ class WeylElement:
         return False
 
 
-def _frac_solve(C, B):
-    """Solve C @ M = B over the rationals (small n, exact)."""
-    n = len(C)
-    aug = [row[:] + brow[:] for row, brow in zip(C, B)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _rref(vecs):
+    """(reduced row echelon form, rank) of integer or rational rows, exact
+    over the rationals (small matrices)."""
+    rows = [[Fraction(x) for x in v] for v in vecs]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows))
+                    if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rows, rank
 
 
 # ---------------------------------------------------------------------------
@@ -722,31 +727,6 @@ def _subsystem_components(rd, roots):
     return comps
 
 
-def _rank_of_roots(rd, roots):
-    vecs = [rd.coords[i] for i in roots]
-    return _int_rank(vecs)
-
-
-def _int_rank(vecs):
-    rows = [[Fraction(x) for x in v] for v in vecs]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(rows))
-                    if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _simple_system_of(rd, positive_part):
     """Indecomposable elements of a positive subsystem part."""
     pset = set(positive_part)
@@ -800,7 +780,7 @@ def subcoxeter_element(rd):
     perp = _orthogonal_subsystem(rd, beta)
     if perp:
         comps = _subsystem_components(rd, perp)
-        comps.sort(key=lambda c: -_rank_of_roots(rd, c))
+        comps.sort(key=lambda c: -_rref(rd.coords[i] for i in c)[1])
         main = comps[0]
         positive_part = [i for i in main if i < rd.num_pos]
         for s in _simple_system_of(rd, positive_part):
@@ -923,7 +903,7 @@ def orbit_constants(rd, w):
             i = w.perm[i]
         vecs = [rd.coords[j] for j in orbit]
         run = 1
-        while run < len(vecs) and _int_rank(vecs[:run + 1]) == run + 1:
+        while run < len(vecs) and _rref(vecs[:run + 1])[1] == run + 1:
             run += 1
         cs[run - 1] += 1
     return tuple(cs)

@@ -153,7 +153,7 @@ def test_criterion_3_eigenspace_agreement():
         if inst is None or d * inst.rs > 12:
             continue
         E_det = lang.f_eigenspace_det(inst)
-        E_lv, _ = lang.f_eigenspace_lv(inst, rng)
+        E_lv, _ = lang.f_eigenspace_lv(inst.c, inst.rs, rng)
         assert _k_row_space(tw, E_det) == _k_row_space(tw, E_lv)
         count += 1
     elapsed = time.time() - t0

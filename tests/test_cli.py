@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -422,3 +423,39 @@ def test_chevalley_budget_flags():
                      "0", "--toral-factor", "32", "--split-factor", "4"])
     assert code == 0
     assert json.loads(out)["verdict"] is True
+
+
+def test_in_process_calls_build_the_parser_once(monkeypatch):
+    # (argv, exit code, sha256 prefix of stdout); a rejected option in the
+    # middle of the session must not leave the shared parser changed
+    session = [
+        (["lang", "--group", "GL", "--p", "5", "--c", "[[0,1],[3,0]]",
+          "--seed", "1"], 0, "8ae1dab9f169"),
+        (["lang", "--group", "Torus", "--p", "5", "--c", "[[0,1],[1,0]]",
+          "--seed", "2"], 0, "68af695975cf"),
+        (["lang", "--group", "GL", "--p", "3", "--c", "[[1,1],[1,1]]"], 2,
+         "e3b0c44298fc"),
+        (["weyl", "--type", "B3", "--what", "cis", "--output", "text"], 0,
+         "7bfc0f1e4969"),
+        (["chevalley", "--type", "A2", "--p", "7", "--scramble", "2",
+          "--seed", "3"], 0, "fdb29e9c06d8"),
+    ]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    run(session[0][0])
+    del built[:]
+    for _ in range(2):
+        for argv, code, digest in session:
+            got, out = run(argv)
+            assert got == code
+            assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest
+        with pytest.raises(SystemExit), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main(["lang", "--group", "XX"])
+    assert built == []

@@ -88,7 +88,7 @@ def test_lv_agrees_with_det():
         if inst is None:
             continue
         E1 = f_eigenspace_det(inst)
-        basis, a = f_eigenspace_lv(inst, rng)
+        basis, _ = f_eigenspace_lv(inst.c, inst.rs, rng)
         # identical k-row-spaces: compare over k via relative coordinates
         assert _k_row_space(t, E1) == _k_row_space(t, basis)
         checked += 1
@@ -306,6 +306,26 @@ def test_solve_torus():
     cert2 = solve_torus(LangInstance(kind="Torus", tower=t, c=[one, two]),
                         random.Random(1))
     assert cert2.ok
+
+
+def test_solve_torus_components_of_different_degrees():
+    # over k_2, zeta has minimum field degree 2 and the scalars 1 and 4
+    # have 1: each component descends to its own level k_(r_i s_i) for its
+    # eigenspace (here k_1 and k_2) before the solutions meet in k_8
+    t = tower(5)
+    lvl = t.level(t.extend(2))
+    zeta = lvl.element([0, 1])
+    for other, a1 in ((1, [3, 0, 0, 0, 0, 0, 0, 0]),
+                      (4, [0, 0, 0, 0, 4, 0, 0, 0])):
+        inst = LangInstance(kind="Torus", tower=t,
+                            c=[zeta, lvl.scalar(other)])
+        cert = solve(inst, random.Random(0))
+        assert cert.to_json() == {
+            "a": [[0, 0, 0, 0, 0, 0, 0, 1], a1], "level": "5^(1*8)",
+            "s": 4, "checks": {"invertible": True, "lang_equation": True,
+                               "min_field_degree": {"expected": 8,
+                                                    "found": 8, "ok": True}},
+            "ok": True}
 
 
 def test_solve_torus_trusts_the_dispatched_instance(monkeypatch):
@@ -652,10 +672,39 @@ def test_instance_and_eigenspace_run_no_inverse(monkeypatch):
         calls.append(self)
         return det(self)
 
+    try_inverse = Mat.try_inverse
     monkeypatch.setattr(Mat, "try_inverse", no_inverse)
     monkeypatch.setattr(Mat, "det", counted_det)
     for kind, inst0 in cases:
         del calls[:]
         inst = LangInstance(kind=kind, tower=t, c=inst0.c, form=inst0.form)
         assert len(calls) == 1 and calls[0] is inst0.c
-        f_eigenspace_lv(inst, random.Random(5))
+        f_eigenspace_lv(inst.c, inst.rs, random.Random(5))
+
+    # a solve validates nothing again: it builds no instance, and beyond
+    # one determinant per eigenspace draw it takes only verify's det = 1
+    # (SL, SO), the normalized form's nondegeneracy (Sp, SO) and the
+    # eigenbasis volume (SO)
+    monkeypatch.setattr(Mat, "try_inverse", try_inverse)
+    built, draws = [], []
+    post_init, rand = LangInstance.__post_init__, Mat.random
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_random(*args):
+        draws.append(args)
+        return rand(*args)
+
+    cases.append(("Torus", random_instance(t, "Torus", 2, 2,
+                                           random.Random(6))))
+    monkeypatch.setattr(LangInstance, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Mat, "random", counted_random)
+    dets = {}
+    for kind, inst in cases:
+        del calls[:], built[:], draws[:]
+        assert solve(inst, random.Random(5)).ok
+        assert built == [] and draws
+        dets[kind] = len(calls) - len(draws)
+    assert dets == {"GL": 0, "SL": 1, "Sp": 1, "SO": 3, "Torus": 0}
