@@ -114,16 +114,16 @@ def cmd_lang(args):
         form = lang.BilinearFormFq(form_data["kind"], gram)
     if group == "Torus":
         c = [_parse_entry(level, v) for v in c_data]
-        inst = lang.LangInstance(kind="Torus", tower=tower, c=c, r=r, s=s,
-                                 trust_s=args.trust_s,
-                                 order_cap=args.order_cap,
-                                 max_degree=args.max_degree)
+        size = len(c)
     else:
         c = _parse_matrix(level, c_data)
-        inst = lang.LangInstance(kind=group, tower=tower, c=c, r=r, s=s,
-                                 form=form, trust_s=args.trust_s,
-                                 order_cap=args.order_cap,
-                                 max_degree=args.max_degree)
+        size = c.nrows
+    if args.d is not None and args.d != size:
+        raise InputError(f"--d {args.d}, but c has size {size}")
+    inst = lang.LangInstance(kind=group, tower=tower, c=c, r=r, s=s,
+                             form=form, trust_s=args.trust_s,
+                             order_cap=args.order_cap,
+                             max_degree=args.max_degree)
     cert = lang.solve(inst, rng)
     payload = cert.to_json()
     _emit(args, payload,
@@ -257,8 +257,9 @@ def _build_parser():
     lp.add_argument("--group", choices=("GL", "SL", "Sp", "SO", "Torus"))
     lp.add_argument("--p", type=int)
     lp.add_argument("--e", type=int, default=1)
-    lp.add_argument("--d", type=int, help="matrix size (documented only; "
-                                          "taken from c)")
+    lp.add_argument("--d", type=int,
+                    help="matrix size, or number of torus components; "
+                         "must match c when given")
     lp.add_argument("--c", help="matrix JSON (inline or file)")
     lp.add_argument("--form", help="form JSON {kind, gram}")
     lp.add_argument("--r", default="auto")

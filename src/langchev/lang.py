@@ -19,6 +19,8 @@ check.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +128,19 @@ class BilinearFormFq:
     def pair(self, u, v):
         return (u @ self.gram @ v.transpose()).entry(0, 0)
 
+    @functools.cached_property
+    def normalized(self):
+        """(P, P^-1, the form in the basis P) for a normal basis P of the
+        whole space, in which the Gram matrix is canonical; built on first
+        use and kept."""
+        level1 = self.gram.level
+        P = Mat.vstack(normal_basis(Mat.identity(level1, self.gram.nrows),
+                                    self))
+        M0 = P @ self.gram @ P.transpose()
+        if not _is_canonical_gram(level1, self.kind, M0):
+            raise VerificationError("normal basis Gram not canonical")
+        return P, P.inverse(), BilinearFormFq(self.kind, M0, self.delta)
+
 
 # ---------------------------------------------------------------------------
 # Instances and certificates
@@ -133,7 +148,9 @@ class BilinearFormFq:
 
 @dataclass
 class LangInstance:
-    """(group kind, c, r, s) with the invariants validated up front."""
+    """(group kind, c, r, s) with the invariants validated up front.  A
+    torus keeps each component as (c_i over k_(r_i) as a 1 x 1 matrix, r_i,
+    s_i); s comes from them, as N_r(c_i) = N_(r_i)(c_i)^(r/r_i)."""
     kind: str
     tower: object
     c: object                  # Mat for matrix groups, list for Torus
@@ -145,7 +162,7 @@ class LangInstance:
     max_degree: int = MAX_DEGREE
 
     def __post_init__(self):
-        kind = self.kind
+        kind, tower = self.kind, self.tower
         if kind not in ("GL", "SL", "Sp", "SO", "Torus"):
             raise InputError(f"unknown group kind {self.kind!r}")
         if kind == "Torus":
@@ -154,7 +171,9 @@ class LangInstance:
             if any(not x for x in self.c):
                 raise InputError("torus entries must be invertible")
             self.d = len(self.c)
-            cmat = Mat.diagonal(self.c[0].level, list(self.c))
+            ones = [Mat.diagonal(self.c[0].level, [x]) for x in self.c]
+            degrees = [min_field_degree(tower, x) for x in ones]
+            r_true = math.lcm(*degrees)
         else:
             cmat = self.c
             self.d = cmat.nrows
@@ -163,49 +182,59 @@ class LangInstance:
             det = cmat.det()
             if not det:
                 raise InputError("c must be invertible")
-        r_true = min_field_degree(self.tower, cmat)
+            r_true = min_field_degree(tower, cmat)
         if self.r is None:
             self.r = r_true
         elif self.r != r_true:
             raise InputError(
                 f"claimed r = {self.r} but the minimum field degree is "
                 f"{r_true}")
-        if cmat.level.r != r_true:
-            # normalize the carrier to the minimal level
-            cmat = _at_level(self.tower, cmat, r_true)
-            if kind == "Torus":
-                self.c = [cmat.entry(i, i) for i in range(self.d)]
-            else:
-                self.c = cmat
-        if kind in ("Sp", "SO"):
-            if self.form is None:
-                lvl1 = self.tower.level(1)
-                self.form = BilinearFormFq(
-                    "symplectic" if kind == "Sp" else "orthogonal",
-                    canonical_gram(lvl1, "symplectic" if kind == "Sp"
-                                   else "orthogonal", self.d))
-            G = self.form.gram.embed(cmat.level.r)
-            if not cmat @ G @ cmat.transpose() == G:
-                raise InputError("c does not preserve the form")
-        if kind in ("SL", "SO"):
-            # det was taken of c as given, before any descent
-            if det != det.level.one:
-                # for SO this is the disconnected coset: no solution exists
+        if kind == "Torus":
+            # a claimed torus s is always compared: the solve needs the s_i
+            lows = [_at_level(tower, x, ri) for x, ri in zip(ones, degrees)]
+            self.components = [
+                (x, ri, norm_and_order(tower, x, ri, cap=self.order_cap)[1])
+                for x, ri in zip(lows, degrees)]
+            s_true = math.lcm(*(si // math.gcd(si, r_true // ri)
+                                for _, ri, si in self.components))
+            if self.c[0].level.r != r_true:
+                self.c = [embed(x.entry(0, 0), r_true) for x in lows]
+        else:
+            if cmat.level.r != r_true:
+                # normalize the carrier to the minimal level
+                cmat = self.c = _at_level(tower, cmat, r_true)
+            if kind in ("Sp", "SO"):
+                if self.form is None:
+                    fk = "symplectic" if kind == "Sp" else "orthogonal"
+                    self.form = BilinearFormFq(
+                        fk, canonical_gram(tower.level(1), fk, self.d))
+                G = self.form.gram.embed(cmat.level.r)
+                if not cmat @ G @ cmat.transpose() == G:
+                    raise InputError("c does not preserve the form")
+            # det was taken of c as given, before any descent; for SO,
+            # det(c) != 1 is the disconnected coset: no solution exists
+            if kind in ("SL", "SO") and det != det.level.one:
                 raise InputError(
                     "det(c) != 1; the twisted equation has no solution "
                     "in this group" if kind == "SO"
                     else "SL requires det(c) = 1")
-        if self.s is None or not self.trust_s:
-            # a trusted s skips the norm order
-            _, s_true = norm_and_order(self.tower, cmat, self.r,
-                                       cap=self.order_cap)
-            if self.s is None:
-                self.s = s_true
-            elif self.s != s_true:
-                raise InputError(
-                    f"claimed s = {self.s} but the norm order is {s_true}")
+            s_true = None  # a trusted s skips the norm order
+            if self.s is None or not self.trust_s:
+                s_true = norm_and_order(tower, cmat, self.r,
+                                        cap=self.order_cap)[1]
+        if self.s is None:
+            self.s = s_true
+        elif s_true is not None and self.s != s_true:
+            raise InputError(
+                f"claimed s = {self.s} but the norm order is {s_true}")
         self.rs = self.r * self.s
-        _check_budget(self.tower, self.r, self.s, self.max_degree)
+        # k_rs must fit the int64 products (an input error, as in
+        # tower.extend) and the degree budget, before any level is built
+        tower.check_degree(self.rs)
+        if self.rs > self.max_degree:
+            raise BudgetExhausted(
+                f"a solution needs the level k_{self.rs} (r = {self.r}, "
+                f"s = {self.s}), past the degree budget {self.max_degree}")
 
 
 def _at_level(tower, cmat, r):
@@ -216,17 +245,6 @@ def _at_level(tower, cmat, r):
     if low is None:
         raise VerificationError("F^r-fixed entries must descend")
     return low
-
-
-def _check_budget(tower, r, s, max_degree):
-    """k_rs must fit the int64 products (an input error, as in
-    tower.extend) and the degree budget, before any level is built."""
-    rs = r * s
-    tower.check_degree(rs)
-    if rs > max_degree:
-        raise BudgetExhausted(
-            f"a solution needs the level k_{rs} (r = {r}, s = {s}), past "
-            f"the degree budget {max_degree}")
 
 
 @dataclass
@@ -254,8 +272,7 @@ class LangCertificate:
 # ---------------------------------------------------------------------------
 
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def min_field_degree(tower, g):
@@ -453,15 +470,10 @@ def _solve_form_group(instance, rng):
     level1 = tower.level(1)
     form = instance.form
     d = instance.d
-    # normalize the ambient form once via a normal basis of V(k)
-    P_rows = normal_basis(Mat.identity(level1, d), form)
-    P = Mat.vstack(P_rows)
-    M0 = P @ form.gram @ P.transpose()
-    if not _is_canonical_gram(level1, form.kind, M0):
-        raise VerificationError("normal basis Gram not canonical")
-    norm_form = BilinearFormFq(form.kind, M0, form.delta)
+    # P and P^-1 live over level 1; the form in the basis P is canonical
+    P, Pinv, norm_form = form.normalized
+    M0 = norm_form.gram
     c = instance.c
-    Pinv = P.inverse()  # over level 1, where P lives
     cP = P.embed(c.level.r) @ c @ Pinv.embed(c.level.r)
     rs = tower.extend(instance.rs)
     a_gl, _ = f_eigenspace_lv(cP, rs, rng)
@@ -496,18 +508,13 @@ def _solve_form_group(instance, rng):
 
 
 def solve_torus(instance, rng):
-    """Componentwise GL_1 solution for a split torus instance."""
+    """Componentwise GL_1 solution for a split torus instance: each
+    component is solved at its own level k_(r_i s_i), which divides k_rs."""
     if instance.kind != "Torus":
         raise InputError("solve_torus needs a Torus instance")
-    tower = instance.tower
-    rs = tower.extend(instance.rs)
+    rs = instance.tower.extend(instance.rs)
     out = []
-    for ci in instance.c:
-        c = Mat.diagonal(ci.level, [ci])
-        r = min_field_degree(tower, c)
-        c = _at_level(tower, c, r)
-        _, s = norm_and_order(tower, c, r, cap=instance.order_cap)
-        _check_budget(tower, r, s, instance.max_degree)
+    for c, r, s in instance.components:
         a, _ = f_eigenspace_lv(c, r * s, rng)
         out.append(a.embed(rs).entry(0, 0))
     return verify(instance, out, strict=True)

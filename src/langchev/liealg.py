@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,20 +40,23 @@ __all__ = [
 ]
 
 
+# fewest split-search iterations, and deepest split-search recursion
+_SPLIT_FLOOR = 12
+_RECURSION_LIMIT = 64
+
+
 @dataclass
 class Budgets:
-    """Retry budgets for the Las Vegas searches; all configurable."""
+    """Retry budgets for the Las Vegas searches, scaled by the rank."""
     toral_factor: int = 64
     split_factor: int = 8
-    split_floor: int = 12
-    recursion_limit: int = 64
 
     def toral_draws(self, rank_estimate):
         return self.toral_factor * max(1, rank_estimate)
 
     def split_iters(self, rank_estimate):
         r = max(1, rank_estimate)
-        return max(self.split_floor,
+        return max(_SPLIT_FLOOR,
                    math.ceil(self.split_factor * r * math.log(r + 1)))
 
 
@@ -222,6 +226,17 @@ def _unit(L, i):
     return v
 
 
+def _bracket_in(L, rows, coords):
+    """Structure tensor planes of L's bracket on the span of the rows:
+    [:, :, j, :] = coords(rows @ ad(rows_j)), where coords writes rows of
+    L in the coordinates of the span."""
+    k = rows.nrows
+    planes = np.zeros((L.level.m, k, k, k), dtype=np.int64)
+    for j in range(k):
+        planes[:, :, j, :] = coords(rows @ L.ad(rows.row(j))).planes
+    return planes
+
+
 class Subalgebra:
     """A subspace of a parent algebra given by a row basis (kept in reduced
     echelon form so equal spans compare equal)."""
@@ -248,19 +263,12 @@ class Subalgebra:
     def restricted_algebra(self):
         """The bracket restricted to this subspace, as its own algebra.
 
-        Requires closure; coordinates are with respect to self.basis rows.
+        Requires closure (else InputError); coordinates are with respect
+        to self.basis rows.
         """
-        L, B = self.parent, self.basis
-        k = B.nrows
-        level = L.level
-        planes = np.zeros((level.m, k, k, k), dtype=np.int64)
-        for j in range(k):
-            prods = B @ L.ad(B.row(j))
-            coords = B.solve_left(prods)
-            if coords is None:
-                raise InputError("subspace is not bracket-closed")
-            planes[:, :, j, :] = coords.planes
-        return LieAlgebraFq(level, planes, rd=None, check="none")
+        L = self.parent
+        return LieAlgebraFq(L.level, _bracket_in(L, self.basis, self.project),
+                            rd=None, check="none")
 
     def lift(self, rows):
         """Rows in restricted coordinates -> rows in parent coordinates."""
@@ -334,14 +342,10 @@ class CentralQuotient:
     def algebra(self):
         if self._alg is None:
             level = self.L.level
-            k = self.dim
-            planes = np.zeros((level.m, k, k, k), dtype=np.int64)
-            lifted = self.lift(Mat.identity(level, k))
-            for j in range(k):
-                prods = lifted @ self.L.ad(lifted.row(j))
-                proj = self.project(prods)
-                planes[:, :, j, :] = proj.planes
-            self._alg = LieAlgebraFq(level, planes, rd=None, check="none")
+            lifted = self.lift(Mat.identity(level, self.dim))
+            self._alg = LieAlgebraFq(
+                level, _bracket_in(self.L, lifted, self.project), rd=None,
+                check="none")
         return self._alg
 
 
@@ -539,13 +543,25 @@ def gr_degree(f):
     return f.degree()
 
 
-def _restrict(W, A):
-    """Matrix of the (invariant) action of A on the row space W."""
-    img = W @ A
-    R = W.solve_left(img)
-    if R is None:
-        raise VerificationError("subspace not invariant")
-    return R
+def _refine(W, ads, rng):
+    """Primary decomposition of the row space W under the matrices in ads,
+    one after another: each part S is cut into the nonzero row spaces
+    ker g(A|S)^mult @ S over the factors g^mult of the characteristic
+    polynomial of A|S.  Returns (labels, part) pairs, the labels being the
+    tuple of factors that cut the part."""
+    parts = [((), W)]
+    for A in ads:
+        fresh = []
+        for label, S in parts:
+            Ar = S.solve_left(S @ A)  # A on the invariant part S
+            if Ar is None:
+                raise VerificationError("subspace not invariant")
+            for g, mult in factor(Ar.charpoly(), rng):
+                ker = (g.eval_mat(Ar) ** mult).left_kernel()
+                if ker.nrows:
+                    fresh.append((label + (g,), (ker @ S).row_space()))
+        parts = fresh
+    return parts
 
 
 def generalized_roots(L, H, Z=None, rng=None, quotient=None):
@@ -555,8 +571,7 @@ def generalized_roots(L, H, Z=None, rng=None, quotient=None):
     subalgebra is the pullback phi((L/Z)_f) and the quotient carries the
     fixed section used.  H must contain Z.
     """
-    import random as _random
-    rng = rng or _random.Random(0)
+    rng = rng or random.Random(0)
     Q = quotient or CentralQuotient(L, Z.basis if isinstance(Z, Subalgebra)
                                     else (Z if Z is not None
                                           else L.center_rows()))
@@ -564,20 +579,8 @@ def generalized_roots(L, H, Z=None, rng=None, quotient=None):
         raise InputError("H must contain Z")
     Qalg = Q.algebra()
     Hq = Q.project(H.basis).row_space()
-    spaces = [((), Mat.identity(L.level, Qalg.dim))]
-    for i in range(Hq.nrows):
-        hbar = Hq.row(i)
-        A = Qalg.ad(hbar)
-        fresh = []
-        for fpref, W in spaces:
-            Ar = _restrict(W, A)
-            cp = Ar.charpoly()
-            for g, mult in factor(cp, rng):
-                ker = (g.eval_mat(Ar) ** mult).left_kernel()
-                if ker.nrows == 0:
-                    continue
-                fresh.append((fpref + (g,), (ker @ W).row_space()))
-        spaces = fresh
+    spaces = _refine(Mat.identity(L.level, Qalg.dim),
+                     [Qalg.ad(Hq.row(i)) for i in range(Hq.nrows)], rng)
     out = []
     total = 0
     for fpref, W in spaces:
@@ -633,8 +636,7 @@ def components(L, H=None, Z=None, rng=None, budgets=None):
     toral subalgebra happens to be split, which would shred a simple
     algebra into root lines.
     """
-    import random as _random
-    rng = rng or _random.Random(0)
+    rng = rng or random.Random(0)
     budgets = budgets or Budgets()
     if H is None:
         H = maximal_toral_subalgebra(L, rng, budgets)
@@ -682,22 +684,13 @@ def _k2_root_pair(L, Q, Hq, Wq, rng):
     tower = L.level.tower
     r2 = tower.extend(2 * L.level.r)
     Q2 = Q.algebra().embed(r2)
-    spaces = [Wq.embed(r2)]
-    for i in range(Hq.nrows):
-        A2 = Q2.ad(Hq.row(i).embed(r2))
-        fresh = []
-        for S in spaces:
-            Ar = _restrict(S, A2)
-            for g, mult in factor(Ar.charpoly(), rng):
-                if g.degree != 1:
-                    raise VerificationError("nonlinear eigenvalue over k_2")
-                ker = (g.eval_mat(Ar) ** mult).left_kernel()
-                if ker.nrows:
-                    fresh.append((ker @ S).row_space())
-        spaces = fresh
+    spaces = _refine(Wq.embed(r2), [Q2.ad(Hq.row(i).embed(r2))
+                                    for i in range(Hq.nrows)], rng)
+    if any(g.degree != 1 for label, _ in spaces for g in label):
+        raise VerificationError("nonlinear eigenvalue over k_2")
     # any eigenline is a root space; its Frobenius conjugate spans the
     # opposite root's line, and their span is F-stable hence has a k-form
-    v = spaces[0].row(0)
+    v = spaces[0][1].row(0)
     vf = v.frobenius(L.level.r)
     lvl2 = v.level
     gen = lvl2.element([0, 1] + [0] * (lvl2.m - 2)) if lvl2.m > 1 \
@@ -717,12 +710,11 @@ def split_maximal_toral_subalgebra(L, Z=None, rng=None, budgets=None,
     Las Vegas: the result always passes is_split_toral; on budget
     exhaustion a BudgetExhausted is raised, never a wrong answer.
     """
-    import random as _random
-    rng = rng or _random.Random(0)
+    rng = rng or random.Random(0)
     budgets = budgets or Budgets()
     if L.level.p <= 3:
         raise InputError("characteristic must exceed 3")
-    if _depth > budgets.recursion_limit:
+    if _depth > _RECURSION_LIMIT:
         raise BudgetExhausted("split toral recursion too deep")
     zrows = Z.basis if isinstance(Z, Subalgebra) else Z
     if zrows is None:
@@ -813,30 +805,21 @@ def split_maximal_toral_subalgebra(L, Z=None, rng=None, budgets=None,
 
 
 def root_decomposition(L, H):
-    """Simultaneous eigenspace decomposition under a split toral H."""
-    level = L.level
-    import random as _random
-    rng = _random.Random(0)
+    """Simultaneous eigenspace decomposition under a split toral H.
+
+    The parts are generalized weight spaces; requiring every nonzero one to
+    be a line and the zero one to be H (on which ad H vanishes) also shows
+    that each ad h is diagonalizable."""
     if not H.is_abelian():
         raise InputError("H is not abelian")
-    spaces = [((), Mat.identity(level, L.dim))]
-    for i in range(H.dim):
-        A = L.ad(H.basis.row(i))
-        fresh = []
-        for weights, W in spaces:
-            Ar = _restrict(W, A)
-            cp = Ar.charpoly()
-            for g, mult in factor(cp, rng):
-                if g.degree != 1:
-                    raise InputError("H is not split: nonlinear eigenvalue")
-                lam = -g.coeff(0)
-                ker = g.eval_mat(Ar).left_kernel()
-                if ker.nrows != mult:
-                    raise VerificationError("ad h not diagonalizable")
-                fresh.append((weights + (lam,), (ker @ W).row_space()))
-        spaces = fresh
+    spaces = _refine(Mat.identity(L.level, L.dim),
+                     [L.ad(H.basis.row(i)) for i in range(H.dim)],
+                     random.Random(0))
+    if any(g.degree != 1 for label, _ in spaces for g in label):
+        raise InputError("H is not split: nonlinear eigenvalue")
     out = {}
-    for weights, W in spaces:
+    for label, W in spaces:
+        weights = tuple(-g.coeff(0) for g in label)
         if all(not w for w in weights):
             if W.row_space() != H.basis:
                 raise VerificationError("zero weight space exceeds H")
@@ -968,8 +951,7 @@ def _extendable(rd, ws, assign):
 def standard_chevalley_basis(L, rd, rng=None, budgets=None, retries=3):
     """Full construction pipeline; output always passes
     verify_chevalley_basis or a clean failure is raised."""
-    import random as _random
-    rng = rng or _random.Random(0)
+    rng = rng or random.Random(0)
     budgets = budgets or Budgets()
     if L.level.p <= 3:
         raise InputError("characteristic must exceed 3")
@@ -1097,7 +1079,7 @@ def verify_chevalley_basis(L, rd, basis):
     Pinv = P.try_inverse() if P.nrows == P.ncols else None
     if Pinv is None:
         return False, "candidate basis does not span the algebra"
-    got = _transport(L, P, Pinv)
+    got = _bracket_in(L, P, lambda x: x @ Pinv)
     want = from_root_datum(rd, L.level.tower, L.level.r, check="none").tensor
     # bad[i, j] is set where [b_i, b_j] differs from the reference
     bad = (got != want).any(axis=(0, 3))
@@ -1171,15 +1153,6 @@ def scramble_basis(L, P, check=False):
     Transporting a Lie bracket along an invertible change of basis always
     yields a Lie algebra, so no Jacobi re-check is needed by default.
     """
-    return LieAlgebraFq(L.level, _transport(L, P, P.inverse()), rd=None,
-                        check="full" if check else "none")
-
-
-def _transport(L, P, Pinv):
-    """Structure tensor planes of L's bracket in the basis given by the
-    rows of P, whose inverse the caller supplies."""
-    d = L.dim
-    planes = np.zeros((L.level.m, d, d, d), dtype=np.int64)
-    for j in range(d):
-        planes[:, :, j, :] = (P @ L.ad(P.row(j)) @ Pinv).planes
-    return planes
+    Pinv = P.inverse()
+    return LieAlgebraFq(L.level, _bracket_in(L, P, lambda x: x @ Pinv),
+                        rd=None, check="full" if check else "none")

@@ -83,6 +83,20 @@ def test_lang_torus_infers_level():
     assert json.loads(out)["level"] == json.loads(out_r)["level"]
 
 
+def test_lang_d_must_match_c(capsys):
+    cases = ((["--group", "GL", "--p", "3", "--c", "[[2]]"], 1),
+             (["--group", "GL", "--p", "5", "--c", "[[1,0],[0,1]]"], 2),
+             (["--group", "Torus", "--p", "3", "--c", "[2, 1]"], 2))
+    for argv, d in cases:
+        capsys.readouterr()
+        code, out = run(["lang"] + argv + ["--d", str(d)])
+        assert code == 0 and json.loads(out)["ok"]
+        for wrong in (d - 1, d + 2):
+            code, out = run(["lang"] + argv + ["--d", str(wrong)])
+            assert code == 2 and out == ""
+            assert f"--d {wrong}, but" in capsys.readouterr().err
+
+
 def test_chevalley_scramble_roundtrip():
     code, out = run(["chevalley", "--type", "A2", "--p", "7", "--scramble",
                      "5", "--seed", "1"])

@@ -343,8 +343,29 @@ def test_solve_torus_trusts_the_dispatched_instance(monkeypatch):
     monkeypatch.setattr(lang, "norm_and_order", counting)
     cert = solve(inst, random.Random(3))
     assert cert.ok and cert.s == s
-    # one norm order per GL_1 component; the trusted s is not recomputed
-    assert len(calls) == len(c)
+    # the instance holds each component's level and norm order
+    assert len(calls) == 0
+
+
+def test_torus_s_is_derived_from_the_components():
+    # over k_2 of GF(5), w = 2 + zeta has w^6 = 1 and r_1 = 2, so its norm
+    # w^(1+5) has s_1 = 1; 2 (order 4) has r_2 = 1, and N_2(2) = 2^2 has
+    # order 4 / gcd(4, 2) = 2, so s = 2, not lcm(s_1, s_2) = 4
+    t = tower(5)
+    lvl = t.level(t.extend(2))
+    w, two = lvl.element([2, 1]), lvl.scalar(2)
+    assert w ** 6 == lvl.one
+    inst = LangInstance(kind="Torus", tower=t, c=[w, two])
+    assert [(ri, si) for _, ri, si in inst.components] == [(2, 1), (1, 4)]
+    assert [x.level for x, _, _ in inst.components] == [lvl, t.level(1)]
+    diag = Mat.diagonal(lvl, [w, two])
+    assert (inst.r, inst.s) == (2, 2) == (2, norm_and_order(t, diag, 2)[1])
+    assert solve(inst, random.Random(0)).ok
+    # a claimed s is compared with the derived one, trusted or not
+    for trust in (False, True):
+        with pytest.raises(InputError, match="claimed s"):
+            LangInstance(kind="Torus", tower=t, c=[w, two], s=4,
+                         trust_s=trust)
 
 
 def test_degree_budget_is_checked_before_any_level_is_built():
@@ -358,11 +379,9 @@ def test_degree_budget_is_checked_before_any_level_is_built():
     with pytest.raises(BudgetExhausted, match="k_100 "):
         LangInstance(kind="GL", tower=t, c=Mat.identity(lvl, 1), s=100,
                      trust_s=True)
-    # the torus components inherit it: here only they see the true s
-    inst = LangInstance(kind="Torus", tower=t, c=[two], s=1, trust_s=True,
-                        max_degree=3)
+    # a torus is held to it by the s derived from its components
     with pytest.raises(BudgetExhausted, match="k_4 "):
-        solve_torus(inst, random.Random(0))
+        LangInstance(kind="Torus", tower=t, c=[two], max_degree=3)
     assert sorted(t.levels) == [1]
 
 
@@ -683,8 +702,8 @@ def test_instance_and_eigenspace_run_no_inverse(monkeypatch):
 
     # a solve validates nothing again: it builds no instance, and beyond
     # one determinant per eigenspace draw it takes only verify's det = 1
-    # (SL, SO), the normalized form's nondegeneracy (Sp, SO) and the
-    # eigenbasis volume (SO)
+    # (SL, SO), the eigenbasis volume (SO) and, in the first solve on a
+    # form, the normalized form's nondegeneracy (Sp, SO)
     monkeypatch.setattr(Mat, "try_inverse", try_inverse)
     built, draws = [], []
     post_init, rand = LangInstance.__post_init__, Mat.random
@@ -703,8 +722,10 @@ def test_instance_and_eigenspace_run_no_inverse(monkeypatch):
     monkeypatch.setattr(Mat, "random", counted_random)
     dets = {}
     for kind, inst in cases:
-        del calls[:], built[:], draws[:]
-        assert solve(inst, random.Random(5)).ok
-        assert built == [] and draws
-        dets[kind] = len(calls) - len(draws)
-    assert dets == {"GL": 0, "SL": 1, "Sp": 1, "SO": 3, "Torus": 0}
+        for seed in (5, 6):
+            del calls[:], built[:], draws[:]
+            assert solve(inst, random.Random(seed)).ok
+            assert built == [] and draws
+            dets.setdefault(kind, []).append(len(calls) - len(draws))
+    assert dets == {"GL": [0, 0], "SL": [1, 1], "Sp": [1, 0], "SO": [3, 2],
+                    "Torus": [0, 0]}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from langchev import ff, liealg, linalg, rootdata
-from langchev.errors import InputError
+from langchev.errors import InputError, VerificationError
 from langchev.liealg import (
     Budgets, Mat, bracket, center, centralizer, from_root_datum,
     generalized_roots, is_regular_semisimple, is_split_toral,
@@ -253,6 +253,35 @@ def test_root_decomposition_counts_a2():
     assert len(lines) == 6
     for w in lines:
         assert any(w)
+
+
+def test_root_decomposition_refuses_a_nilpotent_h():
+    # span{e} is abelian, but ad e is nilpotent: its one weight is 0, and
+    # that weight space is all of L rather than H
+    L = sl2(5)
+    e = unit(L, 1)
+    assert Subalgebra(L, e).is_abelian() and (L.ad(e) ** 3).is_zero()
+    # without its root datum no root count is there to catch it
+    bare = liealg.LieAlgebraFq(L.level, L.tensor, check="none")
+    for M in (L, bare):
+        with pytest.raises(VerificationError):
+            root_decomposition(M, Subalgebra(M, e))
+
+
+def test_root_decomposition_refuses_a_nonsplit_h():
+    # ad(e - f) on sl2(GF(7)) has the irreducible factor X^2 + 4
+    L = sl2(7)
+    with pytest.raises(InputError, match="not split"):
+        root_decomposition(L, Subalgebra(L, unit(L, 1) - unit(L, 2)))
+
+
+def test_restricted_algebra_needs_a_closed_subspace():
+    L = sl2(5)
+    h, e, f = unit(L, 0), unit(L, 1), unit(L, 2)
+    borel = Subalgebra(L, Mat.vstack([h, e])).restricted_algebra()
+    assert borel.dim == 2 and borel.tensor.any()
+    with pytest.raises(InputError):
+        Subalgebra(L, Mat.vstack([e, f])).restricted_algebra()
 
 
 def test_chevalley_fixed_point():

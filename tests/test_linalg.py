@@ -1204,6 +1204,41 @@ def test_plane_elimination_word_size_envelope(nrows, ncols, seed):
         ff.make_tower(above).extend(2)
 
 
+def test_plane_product_word_size_envelope_past_m_squared():
+    # at m = 2 an inner dimension n > m^2 = 4 sets the bound n (p-1)^2:
+    # 4 (p-1)^2 < 2^63 <= 5 (p-1)^2, so n = 4 is exact and n = 5 refused
+    p = 1358187923
+    assert ff.is_prime(p)
+    assert 4 * (p - 1) ** 2 < 1 << 63 <= 5 * (p - 1) ** 2
+    L = lvl(p, 1, 2)
+    f0, f1 = L.defpoly[0], L.defpoly[1]
+
+    def mul(a, b):  # (a0 + a1 z)(b0 + b1 z) with z^2 = -f0 - f1 z
+        t = a[1] * b[1]
+        return (a[0] * b[0] - t * f0, a[0] * b[1] + a[1] * b[0] - t * f1)
+
+    rng = random.Random(7)
+    for n in (4, 5):
+        a = np.array([[[rng.randrange(p) for _ in range(n)]
+                       for _ in range(3)] for _ in range(2)], dtype=np.int64)
+        b = np.array([[[rng.randrange(p) for _ in range(2)]
+                       for _ in range(n)] for _ in range(2)], dtype=np.int64)
+        a[:, 0, :] = b[:, :, 0] = p - 1  # the largest residues
+        if n == 5:
+            with pytest.raises(InputError):
+                linalg._planes_matmul(a, b, L)
+            continue
+        got = linalg._planes_matmul(a, b, L)
+        for i in range(3):
+            for j in range(2):
+                want = [0, 0]
+                for k in range(n):
+                    t = mul([int(x) for x in a[:, i, k]],
+                            [int(x) for x in b[:, k, j]])
+                    want = [want[0] + t[0], want[1] + t[1]]
+                assert got[:, i, j].tolist() == [w % p for w in want]
+
+
 def _oracle_eliminate_planes(planes, level):
     """The m >= 2 pivot as the per-pivot loop ran it: an FqElement
     inverse, the pivot row scaled by a plane product with an (m, 1, 1)
