@@ -528,8 +528,7 @@ class GeneralizedRoot:
         return all(f.degree == 1 and not f.coeff(0) for f in self.polys)
 
     def key(self):
-        return tuple(tuple(c.to_int() for c in f.coeffs())
-                     for f in self.polys)
+        return tuple(tuple(f.coeff_ints()) for f in self.polys)
 
     def __repr__(self):
         return f"GeneralizedRoot({self.key()})"
@@ -615,14 +614,15 @@ def _closure(L, rows):
 
 
 def _ideal_closure(L, rows):
-    """Closure of a row space under bracketing with all of L."""
+    """Closure of a row space under bracketing with all of L.  The rows of
+    ad(y) are the [b_t, y], so one product with `ad_rep_matrix` brackets
+    the span with every basis vector."""
     cur = rows.row_space()
-    d = L.dim
+    m, d = L.level.m, L.dim
     while True:
-        prods = [cur]
-        for j in range(d):
-            prods.append(cur @ L.ad(_unit(L, j)))
-        nxt = Mat.vstack(prods).row_space()
+        brackets = (cur @ L.ad_rep_matrix()).planes.reshape(
+            m, cur.nrows * d, d)
+        nxt = Mat.vstack([cur, Mat(L.level, brackets)]).row_space()
         if nxt.nrows == cur.nrows:
             return nxt
         cur = nxt
@@ -1022,39 +1022,36 @@ def _try_chevalley(L, rd, rng, budgets):
 
 def _solve_h_basis(L, rd, H, lines, simples, h_alpha):
     """Basis h_1..h_n of H with h_alpha = sum <e_i, alpha^*> h_i for the
-    simple alphas and lambda_j(h_i) = <alpha_j, f_i> for the weights."""
+    simple alphas and lambda_j(h_i) = <alpha_j, f_i> for the weights.
+
+    The unknowns are the coordinates of each h_i in H's basis, rows
+    i k .. i k + k - 1.  Columns j d .. j d + d - 1 equate
+    sum_i C[j, i] h_i with h_alpha_j, so their entries are C[j, i] H[t, col]
+    (C the simple coroots); column l d + i l + j equates lambda_j(h_i)
+    with P[j, i] (P the simple roots)."""
     level = L.level
+    m, p = level.m, level.p
     n, l, d = rd.n, rd.l, L.dim
     k = H.dim
     Hb = H.basis
-    # weight functional values on the H basis rows
-    lam = [list(simples[j]) for j in range(l)]  # lam[j][t] FqElement
-    C = [[rd.coroot_Y[rd.simple_indices[j]][i] for i in range(n)]
-         for j in range(l)]
-    P = [[rd.root_X[rd.simple_indices[j]][i] for i in range(n)]
-         for j in range(l)]
-    ncols = l * d + l * n
-    sysm = Mat.zeros(level, n * k, ncols)
-    rhs = Mat.zeros(level, 1, ncols)
-    for j in range(l):
-        for col in range(d):
-            for i in range(n):
-                cji = level.element(C[j][i] % level.p)
-                if not cji:
-                    continue
-                for t in range(k):
-                    cur = sysm.entry(i * k + t, j * d + col)
-                    sysm.set_entry(i * k + t, j * d + col,
-                                   cur + cji * Hb.entry(t, col))
-            rhs.set_entry(0, j * d + col, h_alpha[j].entry(0, col))
+    C = np.array([rd.coroot_Y[r] for r in rd.simple_indices],
+                 dtype=np.int64).reshape(l, n) % p
+    P = np.array([rd.root_X[r] for r in rd.simple_indices],
+                 dtype=np.int64).reshape(l, n) % p
     base = l * d
+    sysm = np.zeros((m, n * k, base + l * n), dtype=np.int64)
+    sysm[:, :, :base] = np.einsum("ji,stc->sitjc", C, Hb.planes).reshape(
+        m, n * k, base) % p
+    # lam[:, t, j]: weight j's value on H's basis row t
+    lam = np.array([[x.coeffs for x in simples[j]] for j in range(l)],
+                   dtype=np.int64).reshape(l, k, m).transpose(2, 1, 0)
     for i in range(n):
-        for j in range(l):
-            for t in range(k):
-                sysm.set_entry(i * k + t, base + i * l + j, lam[j][t])
-            rhs.set_entry(0, base + i * l + j,
-                          level.element(P[j][i] % level.p))
-    sol = sysm.solve_left(rhs)
+        sysm[:, i * k:(i + 1) * k, base + i * l:base + (i + 1) * l] = lam
+    rhs = np.zeros((m, 1, base + l * n), dtype=np.int64)
+    for j in range(l):
+        rhs[:, 0, j * d:(j + 1) * d] = h_alpha[j].planes[:, 0, :]
+    rhs[0, 0, base:] = P.T.reshape(-1)
+    sol = Mat(level, sysm).solve_left(Mat(level, rhs))
     if sol is None:
         raise VerificationError("h-basis system inconsistent")
     rows = []

@@ -10,20 +10,22 @@ package: a vector v acts on a matrix as v @ M, kernels are left kernels
 Polynomials (:class:`PolyFq`) use the same plane layout, coefficient index
 ascending.  Factorization runs the standard squarefree / distinct-degree /
 equal-degree pipeline with an explicit RNG handle; every returned factor is
-certified irreducible before it is handed back.  Over GF(p) itself (m = 1)
-division, gcd and the whole pipeline run on lists of Python ints instead,
-with the same random draws.
+certified irreducible before it is handed back.  The pipeline is written
+once; over GF(p) itself (m = 1) it runs on :class:`_GFpPoly`, lists of
+Python ints with PolyFq's methods, which PolyFq's own division and gcd
+also use there.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .errors import BudgetExhausted, InputError, VerificationError
-from .ff import (FqElement, _check_word_size, _int_to_coeffs, _list_divmod,
-                 _mult_matrix, _trim)
+from .ff import (FqElement, _check_word_size, _list_divmod, _mult_matrix,
+                 _trim)
 
 __all__ = [
     "Mat", "PolyFq", "rref", "kernel", "solve", "det", "charpoly",
@@ -61,6 +63,20 @@ def _planes_scale(coeffs, planes, level):
         return planes * int(coeffs[0]) % p
     mult = _mult_matrix(coeffs, level)
     return (mult.T @ planes.reshape(m, -1) % p).reshape(planes.shape)
+
+
+def _power(base, n, mul):
+    """base^n for n >= 1 by square-and-multiply, mul being the product:
+    bits(n) - 1 squarings and popcount(n) - 1 further products, none with
+    the identity."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = mul(base, base)
 
 
 class Mat:
@@ -170,23 +186,15 @@ class Mat:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        """Square-and-multiply: bits(n) - 1 squarings and popcount(n) - 1
-        further products, none with the identity."""
+        """By `_power`; self^1 is a copy."""
         if self.nrows != self.ncols:
             raise InputError("pow needs a square matrix")
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
             return Mat.identity(self.level, self.nrows)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result @ base
-            n >>= 1
-            if not n:
-                return self.copy() if result is self else result
-            base = base @ base
+        result = _power(self, n, operator.matmul)
+        return self.copy() if result is self else result
 
     def frobenius(self, i=1):
         level = self.level
@@ -582,6 +590,11 @@ class PolyFq:
     def coeffs(self):
         return [self.coeff(i) for i in range(self.planes.shape[1])]
 
+    def coeff_ints(self):
+        """Coefficients as enumeration indices, ascending: the canonical
+        sort key of `factor` and of generalized roots."""
+        return [c.to_int() for c in self.coeffs()]
+
     def leading(self):
         if self.is_zero():
             return self.level.zero
@@ -615,9 +628,13 @@ class PolyFq:
         return PolyFq(self.level, (-self.planes) % self.level.p)
 
     def __mul__(self, other):
-        if isinstance(other, FqElement) or isinstance(other, int):
-            return self.scale(self.level.element(other))
+        """Product with a PolyFq, or scalar multiple by an FqElement or an
+        int (ring coercion, as for Mat)."""
         level = self.level
+        if isinstance(other, (int, np.integer)):
+            return self.scale(level.scalar(other))
+        if isinstance(other, FqElement):
+            return self.scale(level.element(other))
         if self.is_zero() or other.is_zero():
             return PolyFq.zero(level)
         a, b = sorted((self.planes, other.planes), key=lambda t: t.shape[1])
@@ -644,9 +661,8 @@ class PolyFq:
             return PolyFq.zero(level), self
         m, p = level.m, level.p
         if m == 1:
-            quot, rem = _list_divmod(self.planes[0].tolist(),
-                                     other.planes[0].tolist(), p)
-            return _poly_from_list(level, quot), _poly_from_list(level, rem)
+            quot, rem = divmod(_GFpPoly.of(self), _GFpPoly.of(other))
+            return quot.poly(), rem.poly()
         lead = other.leading()
         monic = lead == level.one
         gm = other if monic else other.scale(lead.inverse())
@@ -682,10 +698,8 @@ class PolyFq:
         return self.scale(lead.inverse())
 
     def gcd(self, other):
-        level = self.level
-        if level.m == 1:
-            return _poly_from_list(level, _list_gcd(
-                self.planes[0].tolist(), other.planes[0].tolist(), level.p))
+        if self.level.m == 1:
+            return _GFpPoly.of(self).gcd(_GFpPoly.of(other)).poly()
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
@@ -698,23 +712,26 @@ class PolyFq:
         mult = np.arange(1, n, dtype=np.int64) % self.level.p
         return PolyFq(self.level, self.planes[:, 1:] * mult % self.level.p)
 
+    def pth_root(self):
+        """g with g^p = self, for self' = 0: X^(kp) becomes X^k and each
+        coefficient c its p-th root c^(q/p)."""
+        level = self.level
+        root_exp = level.order // level.p
+        return PolyFq.from_coeffs(level, [
+            self.coeff(i) ** root_exp
+            for i in range(0, self.planes.shape[1], level.p)])
+
     def pow_mod(self, n, modulus):
-        """self^n mod modulus by square-and-multiply.  Only self % modulus
-        divides; every product is reduced by one plane product with
+        """self^n mod modulus by `_power`.  Only self % modulus divides;
+        every product is reduced by one plane product with
         `_reduction_table(modulus)`."""
         base = self % modulus
         if n == 0:
             return PolyFq.one_poly(self.level)
+        level = self.level
         table = _reduction_table(modulus)
-        result = None
-        while True:
-            if n & 1:
-                result = base if result is None else _mul_reduced(
-                    result, base, table)
-            n >>= 1
-            if not n:
-                return result
-            base = _mul_reduced(base, base, table)
+        return _power(base, n, lambda a, b: PolyFq(level, _reduce_rows(
+            (a * b).planes[:, None, :], table, level)[:, 0]))
 
     def eval_mat(self, M):
         """self(M) by Horner's rule, each coefficient added onto the
@@ -760,25 +777,17 @@ class PolyFq:
 # Factorization
 # ---------------------------------------------------------------------------
 
-def _pth_root_poly(f, level):
-    p = level.p
-    idx = np.arange(0, f.planes.shape[1], p)
-    root_exp = level.order // p
-    coeffs = [f.coeff(int(i)) ** root_exp for i in idx]
-    return PolyFq.from_coeffs(level, coeffs)
-
-
 def squarefree_decomposition(f):
-    """[(g, k)] with f = lead * prod g^k, the g monic squarefree coprime."""
-    level = f.level
-    p = level.p
+    """[(g, k)] with f = lead * prod g^k, the g monic squarefree coprime.
+    An f with f' = 0 is a p-th power; `pth_root` takes its root."""
+    p = f.level.p
     f = f.monic()
     out = []
     e = 1
     while f.degree > 0:
         fp = f.derivative()
         if fp.is_zero():
-            f = _pth_root_poly(f, level)
+            f = f.pth_root()
             e *= p
             continue
         g = f.gcd(fp)
@@ -831,70 +840,26 @@ def _reduction_table(f):
     return table[:, :d - 1]
 
 
-def _mul_reduced(a, b, table):
-    """a * b mod the modulus of `table`, for remainders a and b."""
-    prod = a * b
-    return PolyFq(a.level, _reduce_rows(prod.planes[:, None, :], table,
-                                        a.level)[:, 0])
-
-
-def _frobenius_map_matrix(f):
-    """Rows j = coefficients of X^(qj) mod f; applying a coefficient row
-    gives the q-power map on the residue ring (coefficients are q-fixed)."""
-    level = f.level
-    deg = f.degree
-    xq = PolyFq.x(level).pow_mod(level.order, f)
-    table = _reduction_table(f)
-    rows = Mat.zeros(level, deg, deg)
-    cur = PolyFq.one_poly(level)
-    for j in range(deg):
-        rows.planes[:, j, :cur.planes.shape[1]] = cur.planes
-        if j + 1 < deg:
-            cur = _mul_reduced(cur, xq, table)
-    return rows
-
-
-def _poly_coeff_row(f, width):
-    out = Mat.zeros(f.level, 1, width)
-    out.planes[:, 0, :f.planes.shape[1]] = f.planes
-    return out
-
-
 _EDF_DRAW_CAP = 64
 
 
-def _edf_exhausted(n, d):
-    return BudgetExhausted(f"no equal-degree split of a degree-{n} "
-                           f"polynomial into degree-{d} factors in "
-                           f"{_EDF_DRAW_CAP} draws")
-
-
-def _distinct_degree(f, rng):
-    """[(product of irreducibles of degree d, d)] for squarefree monic f.
-
-    The q-power map on k[X]/(f) is applied through its matrix, so each
-    degree step is one vectorized matrix-vector product.
-    """
+def _distinct_degree(f):
+    """[(product of irreducibles of degree d, d)] for squarefree monic f:
+    step d takes h = X^(q^(d-1)) mod rem to h^q mod rem, and gcd(h - X,
+    rem) is the product of the factors of degree d."""
     level = f.level
+    x = type(f).from_coeffs(level, [0, 1])
     out = []
-    x = PolyFq.x(level)
     d = 0
     rem = f
-    frob = None
     h = x
     while rem.degree >= 2 * (d + 1):
         d += 1
-        if frob is None:
-            frob = _frobenius_map_matrix(rem)
-            h = h % rem
-        hrow = _poly_coeff_row(h, rem.degree) @ frob
-        h = PolyFq(level, hrow.planes[:, 0, :].copy())
+        h = h.pow_mod(level.order, rem)
         g = (h - x).gcd(rem)
         if g.degree > 0:
             out.append((g, d))
             rem = rem // g
-            frob = None
-            h = h % rem if rem.degree else PolyFq.zero(level)
     if rem.degree > 0:
         out.append((rem, rem.degree))
     return out
@@ -909,27 +874,27 @@ def _equal_degree_split(f, d, rng):
     if f.degree == d:
         return [f]
     q = level.order
-    one = PolyFq.one_poly(level)
+    one = type(f).from_coeffs(level, [1])
     for _ in range(_EDF_DRAW_CAP):
-        coeffs = [rng.randrange(q) for _ in range(f.degree)]
-        b = PolyFq.from_coeffs(level, [
-            _int_to_coeffs(c, level.p, level.m) for c in coeffs])
-        if b.degree < 1 and f.degree > d:
+        # f.degree draws, read as enumeration indices by either arithmetic
+        b = type(f).from_coeffs(level, [rng.randrange(q)
+                                        for _ in range(f.degree)])
+        if b.degree < 1:
             continue
         if level.p == 2:
-            acc = b % f
-            tr = acc
+            acc = tr = b
             for _ in range(level.m * d - 1):
-                acc = (acc * acc) % f
-                tr = tr + acc
+                acc = acc * acc % f
+                tr = tr - acc  # a sum: + and - agree mod 2
             g = tr.gcd(f)
         else:
-            powed = b.pow_mod((q ** d - 1) // 2, f)
-            g = (powed - one).gcd(f)
+            g = (b.pow_mod((q ** d - 1) // 2, f) - one).gcd(f)
         if 0 < g.degree < f.degree:
             return (_equal_degree_split(g, d, rng)
                     + _equal_degree_split(f // g, d, rng))
-    raise _edf_exhausted(f.degree, d)
+    raise BudgetExhausted(f"no equal-degree split of a degree-{f.degree} "
+                          f"polynomial into degree-{d} factors in "
+                          f"{_EDF_DRAW_CAP} draws")
 
 
 def factor(f, rng):
@@ -938,180 +903,131 @@ def factor(f, rng):
     The product of the returned powers times the leading coefficient
     reproduces the input; each factor is certified irreducible before
     return.  Randomness only affects the equal-degree splitting path, never
-    the set of factors, which is sorted canonically.
+    the set of factors, which is sorted canonically.  At m = 1 the pipeline
+    runs on `_GFpPoly`, with the same draws.
     """
     if f.is_zero():
         raise InputError("cannot factor the zero polynomial")
-    if f.level.m == 1:
-        return [(_poly_from_list(f.level, g), mult)
-                for g, mult in _list_factor(f.planes[0].tolist(),
-                                            f.level.p, rng)]
+    level = f.level
+    g = _GFpPoly.of(f) if level.m == 1 else f
+    x = type(g).from_coeffs(level, [0, 1])
     out = []
-    x = None
-    for g, mult in squarefree_decomposition(f):
-        for prod, d in _distinct_degree(g, rng):
+    for h, mult in squarefree_decomposition(g):
+        for prod, d in _distinct_degree(h):
             for irr in _equal_degree_split(prod, d, rng):
                 irr = irr.monic()
                 # distinct-degree residue certificate: X^(q^d) = X mod irr
-                if irr.degree > 1:
-                    if x is None:
-                        x = PolyFq.x(f.level)
-                    xq = x.pow_mod(f.level.order ** irr.degree, irr)
-                    if not (xq - x).is_zero():
-                        raise VerificationError("factor failed certification")
-                out.append((irr, mult))
-    out.sort(key=lambda t: (t[0].degree,
-                            [c.to_int() for c in t[0].coeffs()]))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Factorization over GF(p) on Python-int lists
-# ---------------------------------------------------------------------------
-# The same pipeline at m = 1, on the coefficient lists of `ff._list_divmod`.
-# The polynomials factored here mostly have degree <= 6, where numpy's cost
-# per call outweighs the arithmetic.  Every step mirrors its plane
-# counterpart above, and the equal-degree split draws exactly as
-# `_equal_degree_split` does, so seeded results do not depend on the path.
-
-def _poly_from_list(level, coeffs):
-    """The PolyFq of an m = 1 coefficient list."""
-    return PolyFq(level, np.array([coeffs], dtype=np.int64))
-
-
-def _list_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return [x % p for x in out]
-
-
-def _list_sub(a, b, p):
-    out = a + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim([x % p for x in out])
-
-
-def _list_monic(a, p):
-    if not a or a[-1] == 1:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [x * inv % p for x in a]
-
-
-def _list_gcd(a, b, p):
-    """Monic gcd by the Euclidean algorithm."""
-    while b:
-        a, b = b, _list_divmod(a, b, p)[1]
-    return _list_monic(a, p)
-
-
-def _list_pow_mod(a, n, f, p):
-    """a^n mod f by square-and-multiply, for a reduced mod f."""
-    result = [1]
-    while True:
-        if n & 1:
-            result = _list_divmod(_list_mul(result, a, p), f, p)[1]
-        n >>= 1
-        if not n:
-            return result
-        a = _list_divmod(_list_mul(a, a, p), f, p)[1]
-
-
-def _list_squarefree(f, p):
-    """`squarefree_decomposition` of a nonzero list.  Over GF(p) every
-    coefficient is its own p-th power, so an f with f' = 0 is g(X^p) = g^p
-    with g = f[::p]."""
-    f = _list_monic(f, p)
-    out = []
-    e = 1
-    while len(f) > 1:
-        fp = _trim([i * c % p for i, c in enumerate(f)][1:])
-        if not fp:
-            f = f[::p]
-            e *= p
-            continue
-        g = _list_gcd(f, fp, p)
-        if len(g) == 1:
-            out.append((f, e))
-            break
-        w = _list_divmod(f, g, p)[0]
-        i = 1
-        while len(w) > 1:
-            y = _list_gcd(w, g, p)
-            fac = _list_divmod(w, y, p)[0]
-            if len(fac) > 1:
-                out.append((_list_monic(fac, p), i * e))
-            w = y
-            g = _list_divmod(g, y, p)[0]
-            i += 1
-        f = g
-    return out
-
-
-def _list_distinct_degree(f, p):
-    """`_distinct_degree` of a squarefree monic list: step d takes
-    h = X^(p^d) mod rem to h^p mod rem."""
-    out = []
-    d = 0
-    rem = f
-    h = [0, 1]
-    while len(rem) > 2 * (d + 1):
-        d += 1
-        h = _list_pow_mod(h, p, rem, p)
-        g = _list_gcd(_list_sub(h, [0, 1], p), rem, p)
-        if len(g) > 1:
-            out.append((g, d))
-            rem = _list_divmod(rem, g, p)[0]
-            h = _list_divmod(h, rem, p)[1]
-    if len(rem) > 1:
-        out.append((rem, len(rem) - 1))
-    return out
-
-
-def _list_equal_degree_split(f, d, p, rng):
-    """`_equal_degree_split` of a monic list, with the same draws."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    for _ in range(_EDF_DRAW_CAP):
-        b = _trim([rng.randrange(p) for _ in range(n)])
-        if len(b) < 2:
-            continue
-        if p == 2:
-            acc = tr = b
-            for _ in range(d - 1):
-                acc = _list_divmod(_list_mul(acc, acc, p), f, p)[1]
-                tr = _list_sub(tr, acc, p)  # a sum: + and - agree mod 2
-            g = _list_gcd(tr, f, p)
-        else:
-            powed = _list_pow_mod(b, (p ** d - 1) // 2, f, p)
-            g = _list_gcd(_list_sub(powed, [1], p), f, p)
-        if 1 < len(g) < len(f):
-            return (_list_equal_degree_split(g, d, p, rng)
-                    + _list_equal_degree_split(
-                        _list_divmod(f, g, p)[0], d, p, rng))
-    raise _edf_exhausted(n, d)
-
-
-def _list_factor(f, p, rng):
-    """`factor` of a nonzero list over GF(p): sorted (monic irreducible,
-    multiplicity) lists, each certified by X^(p^d) = X mod it."""
-    out = []
-    for g, mult in _list_squarefree(f, p):
-        for prod, d in _list_distinct_degree(g, p):
-            for irr in _list_equal_degree_split(prod, d, p, rng):
-                if len(irr) > 2 and _list_pow_mod(
-                        [0, 1], p ** (len(irr) - 1), irr, p) != [0, 1]:
+                if irr.degree > 1 and not (x.pow_mod(
+                        level.order ** irr.degree, irr) - x).is_zero():
                     raise VerificationError("factor failed certification")
                 out.append((irr, mult))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
+    out.sort(key=lambda t: (t[0].degree, t[0].coeff_ints()))
+    if level.m == 1:
+        return [(irr.poly(), mult) for irr, mult in out]
     return out
+
+
+class _GFpPoly:
+    """A polynomial over GF(p) itself (m = 1): a little-endian list of
+    Python ints in [0, p) with no zero leading coefficient ([] is zero) and
+    its level.  Its methods are PolyFq's, on the lists of `ff._list_divmod`,
+    so they are exact at any p.  Most polynomials factored in the Chevalley
+    stages have degree 6 or less, where numpy's cost per call outweighs the
+    arithmetic."""
+
+    __slots__ = ("level", "ints")
+
+    def __init__(self, level, ints):
+        self.level = level
+        self.ints = ints
+
+    @classmethod
+    def of(cls, f):
+        """The list of an m = 1 PolyFq."""
+        return cls(f.level, f.planes[0].tolist())
+
+    def poly(self):
+        return PolyFq(self.level, np.array([self.ints], dtype=np.int64))
+
+    @classmethod
+    def from_coeffs(cls, level, coeffs):
+        """From ints in [0, p), as `PolyFq.from_coeffs` reads them."""
+        return cls(level, _trim(list(coeffs)))
+
+    @property
+    def degree(self):
+        return len(self.ints) - 1
+
+    def is_zero(self):
+        return not self.ints
+
+    def coeff_ints(self):
+        return self.ints
+
+    def monic(self):
+        a = self.ints
+        if not a or a[-1] == 1:
+            return self
+        p = self.level.p
+        inv = pow(a[-1], -1, p)
+        return _GFpPoly(self.level, [c * inv % p for c in a])
+
+    def derivative(self):
+        p = self.level.p
+        return _GFpPoly(self.level, _trim(
+            [i * c % p for i, c in enumerate(self.ints)][1:]))
+
+    def pth_root(self):
+        """Every coefficient is its own p-th power, so the root of
+        f(X^p) = g^p is g = f[::p]."""
+        return _GFpPoly(self.level, self.ints[::self.level.p])
+
+    def __sub__(self, other):
+        a, b = self.ints, other.ints
+        out = a + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        p = self.level.p
+        return _GFpPoly(self.level, _trim([c % p for c in out]))
+
+    def __mul__(self, other):
+        a, b = self.ints, other.ints
+        if not a or not b:
+            return _GFpPoly(self.level, [])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, y in enumerate(b):
+                    out[i + j] += c * y
+        p = self.level.p
+        return _GFpPoly(self.level, [c % p for c in out])
+
+    def __divmod__(self, other):
+        quot, rem = _list_divmod(self.ints, other.ints, self.level.p)
+        return _GFpPoly(self.level, quot), _GFpPoly(self.level, rem)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return _GFpPoly(self.level, _list_divmod(self.ints, other.ints,
+                                                 self.level.p)[1])
+
+    def gcd(self, other):
+        """Monic gcd by the Euclidean algorithm."""
+        p = self.level.p
+        a, b = self.ints, other.ints
+        while b:
+            a, b = b, _list_divmod(a, b, p)[1]
+        return _GFpPoly(self.level, a).monic()
+
+    def pow_mod(self, n, modulus):
+        """self^n mod modulus by `_power`, a division after each
+        product."""
+        base = self % modulus
+        if n == 0:
+            return _GFpPoly(self.level, [1])
+        return _power(base, n, lambda a, b: a * b % modulus)
 
 
 # ---------------------------------------------------------------------------

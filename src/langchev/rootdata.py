@@ -433,14 +433,7 @@ class RootDatum:
 
     def simple_reflection(self, j):
         """s_{alpha_{j+1}} as a WeylElement (j is 0-based)."""
-        perm = []
-        for i in range(self.num_roots):
-            c = self.coords[i]
-            pairing = self.pairing(i, self.simple_indices[j])
-            img = tuple(x - pairing * (1 if a == j else 0)
-                        for a, x in enumerate(c))
-            perm.append(self._index[img])
-        return WeylElement(self, tuple(perm))
+        return _reflection_in(self, self.simple_indices[j])
 
     def identity_weyl(self):
         return WeylElement(self, tuple(range(self.num_roots)))
@@ -745,6 +738,7 @@ def _simple_system_of(rd, positive_part):
 
 
 def _reflection_in(rd, i):
+    """s_alpha for the root alpha of index i, as a WeylElement."""
     perm = []
     for k in range(rd.num_roots):
         pairing = rd.pairing(k, i)

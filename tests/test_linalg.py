@@ -13,7 +13,7 @@ from sympy.polys.galoistools import (gf_degree, gf_div, gf_factor, gf_gcd,
 
 from langchev import ff, linalg
 from langchev.errors import BudgetExhausted, InputError
-from langchev.linalg import Mat, PolyFq
+from langchev.linalg import Mat, PolyFq, _GFpPoly
 
 
 def lvl(p, e=1, r=1):
@@ -518,6 +518,17 @@ def test_poly_divmod_gcd():
     assert f.gcd(g) == g.monic()
 
 
+def test_poly_times_int_is_the_ring_map():
+    # an int multiplies as its image under Z -> GF(9), as for Mat and
+    # FqElement, not as an enumeration index
+    L = lvl(3, 2)
+    f = PolyFq.from_coeffs(L, [5, 0, 7, 1])
+    assert f * -1 == -f
+    assert f * 4 == f
+    assert 4 * f == f
+    assert f * 2 == f + f
+
+
 # ---------------------------------------------------------------------------
 # Characteristic polynomials, modular powers, squarefree decomposition
 # ---------------------------------------------------------------------------
@@ -641,14 +652,11 @@ def test_pow_mod_matches_divmod_loop(p, e):
         # bases of degree below, at and well above the modulus's
         base = _random_poly(L, rng.randrange(0, 2 * d + 4), rng)
         for n in [0, 1, 2, 3, rng.randrange(4, 10 ** 6), L.order ** d]:
-            got = base.pow_mod(n, modulus)
-            assert got == _pow_mod_divmod_loop(base, n, modulus), (d, n)
-        # rows X^(qj) mod f of the Frobenius map matrix
-        frob = linalg._frobenius_map_matrix(modulus)
-        x = PolyFq.x(L)
-        for j in range(d):
-            want = _pow_mod_divmod_loop(x, L.order * j, modulus)
-            assert PolyFq(L, frob.planes[:, j, :].copy()) == want
+            want = _pow_mod_divmod_loop(base, n, modulus)
+            assert base.pow_mod(n, modulus) == want, (d, n)
+            if e == 1:  # the arithmetic `factor` runs at m = 1
+                got = _GFpPoly.of(base).pow_mod(n, _GFpPoly.of(modulus))
+                assert got.poly() == want, (d, n)
 
 
 def test_charpoly_and_pow_mod_product_counts(monkeypatch):
@@ -721,9 +729,9 @@ def test_squarefree_decomposition_matches_sympy(p):
                               p, ZZ)
         want = sorted(([int(c) for c in reversed(g)], k) for g, k in want)
         assert got == want
-        # the m = 1 factoring path's own loop on Python-int lists
-        assert sorted(linalg._list_squarefree(f.planes[0].tolist(),
-                                              p)) == want
+        # the same loop on the Python-int lists `factor` runs at m = 1
+        assert sorted((g.ints, k) for g, k in linalg.squarefree_decomposition(
+            _GFpPoly.of(f))) == want
 
 
 @st.composite
@@ -770,12 +778,13 @@ def test_gfp_list_path_matches_sympy_and_plane_pipeline(case):
     _, want = gf_factor(f_be, p, ZZ)
     assert sorted((big_endian(h), k) for h, k in got) == sorted(
         ([int(c) for c in h], k) for h, k in want)
-    # the plane pipeline, its steps called directly: same factors, same
+    # factor runs the pipeline on Python-int lists at m = 1; its steps
+    # called directly on f, in PolyFq's plane arithmetic: same factors, same
     # draws
     plane_rng = random.Random(seed)
     plane = []
     for h, mult in linalg.squarefree_decomposition(f):
-        for prod, d in linalg._distinct_degree(h, plane_rng):
+        for prod, d in linalg._distinct_degree(h):
             for irr in linalg._equal_degree_split(prod, d, plane_rng):
                 plane.append((big_endian(irr.monic()), mult))
     assert [(big_endian(h), k) for h, k in got] == sorted(
@@ -800,11 +809,11 @@ def test_list_equal_degree_split_draws_as_the_plane_split(p, d):
         f = gf_mul(f, list(h), p, ZZ)
     f = [int(c) for c in reversed(f)]
     rng, plane_rng = random.Random(d), random.Random(d)
-    got = linalg._list_equal_degree_split(f, d, p, rng)
+    got = linalg._equal_degree_split(_GFpPoly(lvl(p), f), d, rng)
     want = linalg._equal_degree_split(PolyFq.from_coeffs(lvl(p), f), d,
                                       plane_rng)
     assert len(got) == len(irreducibles)
-    assert got == [[c.to_int() for c in h.coeffs()] for h in want]
+    assert [h.ints for h in got] == [h.coeff_ints() for h in want]
     assert rng.getstate() == plane_rng.getstate()
 
 
@@ -825,12 +834,13 @@ class _CountingRandom(random.Random):
     (2, [1, 1, 0, 0, 1], 2),  # X^4 + X + 1
 ])
 def test_equal_degree_split_raises_on_an_irreducible_input(p, coeffs, d):
-    # an irreducible of degree 2d never splits into degree-d factors: both
-    # paths stop after the cap's draws, skipped ones included
+    # an irreducible of degree 2d never splits into degree-d factors: in
+    # both kinds of arithmetic the split stops after the cap's draws,
+    # skipped ones included
     cap = linalg._EDF_DRAW_CAP
     rng = _CountingRandom(p)
     with pytest.raises(BudgetExhausted, match=f"{cap} draws"):
-        linalg._list_equal_degree_split(coeffs, d, p, rng)
+        linalg._equal_degree_split(_GFpPoly(lvl(p), coeffs), d, rng)
     assert rng.draws == cap * (len(coeffs) - 1)
     rng = _CountingRandom(p)
     with pytest.raises(BudgetExhausted, match=f"{cap} draws"):
@@ -848,6 +858,52 @@ def test_equal_degree_split_raises_on_an_irreducible_input_over_gf9():
     with pytest.raises(BudgetExhausted):
         linalg._equal_degree_split(f, 1, rng)
     assert rng.draws == 2 * linalg._EDF_DRAW_CAP
+
+
+@st.composite
+def _extension_factor_case(draw):
+    """lead * prod g_i^k_i over GF(4), GF(8), GF(9) or GF(25): up to four
+    random monic g_i of degree 1 to 3 (repeats and several factors of one
+    degree occur), k_i in {1, 2, p}, total degree at most 24, and an rng
+    seed."""
+    level = _order_level(*draw(st.sampled_from([(2, 2), (2, 3), (3, 2),
+                                                (5, 2)])))
+    index = st.integers(0, level.order - 1)
+    f = PolyFq.from_coeffs(level, [draw(st.integers(1, level.order - 1))])
+    for _ in range(draw(st.integers(1, 4))):
+        g = PolyFq.from_coeffs(
+            level, draw(st.lists(index, min_size=1, max_size=3)) + [1])
+        k = draw(st.sampled_from([1, 2, level.p]))
+        if f.degree + k * g.degree <= 24:
+            for _ in range(k):
+                f = f * g
+    return f, draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_extension_factor_case())
+def test_factor_over_extension_fields_matches_root_search(case):
+    f, seed = case
+    L = f.level
+    facs = linalg.factor(f, random.Random(seed))
+    prod = PolyFq.from_coeffs(L, [f.leading()])
+    for g, k in facs:
+        assert g.leading() == L.one and 1 <= g.degree <= 3
+        for _ in range(k):
+            prod = prod * g
+    assert prod == f
+    keys = [(g.degree, [c.to_int() for c in g.coeffs()]) for g, _ in facs]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    # a factor of degree 2 or 3 with no root in GF(q) is irreducible:
+    # checked over all q elements, apart from the pipeline's certificate
+    for g, _ in facs:
+        if g.degree > 1:
+            for x in L.elements():
+                value = L.zero
+                for c in reversed(g.coeffs()):
+                    value = value * x + c
+                assert value != L.zero, (g, x)
 
 
 def test_eval_mat_coerces_coefficients_to_the_matrix_level():
