@@ -60,16 +60,23 @@ def _check_word_size(n, p, m):
             f"m = {m}: max(n, m^2) (p-1)^2 = {bound} reaches 2^63")
 
 
-def _mat_pow(mat, n, p):
-    """mat^n mod p for a square int64 matrix, by repeated squaring."""
-    out = np.eye(len(mat), dtype=np.int64)
-    while n:
+def _power(base, n, mul):
+    """base^n for n >= 1 by square-and-multiply, mul being the product:
+    bits(n) - 1 squarings and popcount(n) - 1 further products, none with
+    the identity."""
+    result = None
+    while True:
         if n & 1:
-            out = out @ mat % p
+            result = base if result is None else mul(result, base)
         n >>= 1
-        if n:
-            mat = mat @ mat % p
-    return out
+        if not n:
+            return result
+        base = mul(base, base)
+
+
+def _mat_pow(mat, n, p):
+    """mat^n mod p for a square int64 matrix and n >= 1, by `_power`."""
+    return _power(mat, n, lambda a, b: a @ b % p)
 
 
 def _orbit(v, mat, n, p):
@@ -187,7 +194,7 @@ class Level:
         # matrix of x -> x^p (GF(p)-linear), rows act on coefficient rows
         self.frob_p = frob_p
         self.frob_q = _mat_pow(frob_p, tower.e, p)
-        self._frob_q_pows = {}
+        self._frob_q_pows = {0: np.eye(m, dtype=np.int64)}
         self._descents = {}  # linalg._descent_solver, per lower level r
         self.embed_from = {r: np.eye(m, dtype=np.int64)}
         self.zero = FqElement(self, (0,) * m)
@@ -268,17 +275,6 @@ def _mult_matrix(coeffs, level):
     m = level.m
     c = np.asarray(coeffs, dtype=np.int64)
     return (c @ level.fold.reshape(m, m * m) % level.p).reshape(m, m)
-
-
-def _coeffs_pow(coeffs, n, level):
-    result = (1,) + (0,) * (level.m - 1)
-    base = coeffs
-    while n:
-        if n & 1:
-            result = _poly_mul_reduce(result, base, level)
-        base = _poly_mul_reduce(base, base, level)
-        n >>= 1
-    return result
 
 
 def _trim(coeffs):
@@ -422,7 +418,11 @@ class FqElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return FqElement(self.level, _coeffs_pow(self.coeffs, n, self.level))
+        level = self.level
+        if n == 0:
+            return level.one
+        return FqElement(level, _power(
+            self.coeffs, n, lambda a, b: _poly_mul_reduce(a, b, level)))
 
     def frobenius(self, i=1):
         """x -> x^(q^i); negative i inverts (F has order r on level r)."""

@@ -40,9 +40,11 @@ __all__ = [
 ]
 
 
-# fewest split-search iterations, and deepest split-search recursion
+# fewest split-search iterations, deepest split-search recursion, and
+# whole Chevalley constructions tried before giving up
 _SPLIT_FLOOR = 12
 _RECURSION_LIMIT = 64
+_CHEVALLEY_TRIES = 3
 
 
 @dataclass
@@ -70,12 +72,10 @@ class LieAlgebraFq:
     one already checked.
     """
 
-    def __init__(self, level, tensor_planes, pmap=None, rd=None,
-                 check="full"):
+    def __init__(self, level, tensor_planes, rd=None, check="full"):
         self.level = level
         self.dim = tensor_planes.shape[1]
         self.tensor = tensor_planes % level.p
-        self.pmap = pmap          # Mat rows: b_i -> b_i^p (when known)
         self.rd = rd              # originating RootDatum, if any
         self._center = None
         self._ad_rep = None
@@ -88,13 +88,12 @@ class LieAlgebraFq:
     # -- construction helpers ----------------------------------------------
 
     @classmethod
-    def from_entries(cls, level, dim, triples, pmap=None, rd=None,
-                     check="full"):
+    def from_entries(cls, level, dim, triples, rd=None, check="full"):
         """triples: iterable of (i, j, k, value)."""
         planes = np.zeros((level.m, dim, dim, dim), dtype=np.int64)
         for i, j, k, v in triples:
             planes[:, i, j, k] = level.element(v).coeffs
-        return cls(level, planes, pmap=pmap, rd=rd, check=check)
+        return cls(level, planes, rd=rd, check=check)
 
     def triples(self):
         out = []
@@ -164,7 +163,7 @@ class LieAlgebraFq:
         dst = self.level.tower.level(r)
         emb = dst.embed_from[self.level.r]
         planes = np.einsum("j...,jk->k...", self.tensor, emb) % self.level.p
-        return LieAlgebraFq(dst, planes, pmap=None, rd=self.rd, check="none")
+        return LieAlgebraFq(dst, planes, rd=self.rd, check="none")
 
     def to_json(self):
         return {
@@ -354,8 +353,8 @@ class CentralQuotient:
 # ---------------------------------------------------------------------------
 
 def from_root_datum(rd, tower, level_r=1, check="full"):
-    """Chevalley-basis structure constants reduced mod p, with the p-map
-    values h_i^p = h_i, e_alpha^p = 0.  Characteristic > 3 only."""
+    """Chevalley-basis structure constants reduced mod p.  Characteristic
+    > 3 only."""
     if tower.p <= 3:
         raise InputError("characteristic must exceed 3 for Lie algebras")
     level = tower.level(tower.extend(level_r))
@@ -386,10 +385,7 @@ def from_root_datum(rd, tower, level_r=1, check="full"):
             if t is not None:
                 planes[0, eidx(r), eidx(s), eidx(t)] = \
                     rd.structure_constant_by_index(r, s) % p
-    pmap = Mat.zeros(level, d, d)
-    for i in range(n):
-        pmap.planes[0, i, i] = 1
-    return LieAlgebraFq(level, planes, pmap=pmap, rd=rd, check=check)
+    return LieAlgebraFq(level, planes, rd=rd, check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -438,27 +434,20 @@ def p_power_mod_center(L, x, times=1):
     return cur
 
 
-def q_power_mod_center(L, x):
-    """x -> x^q + Z(L) where q is the size of the algebra's own level."""
-    return p_power_mod_center(L, x, times=L.level.m)
-
-
 def is_split_toral(L, H, expected_dim=None):
-    """Abelian, correct dimension, and q-power fixes a basis mod Z(L)."""
+    """Abelian, correct dimension, and h^[q] = h mod Z(L) on a basis, q the
+    size of L's level.  Z(L) is the kernel of ad and ad(x^[p]) = (ad x)^p
+    (Jacobson, Lie Algebras, ch. V), so that is (ad h)^q = ad h."""
     if expected_dim is None and L.rd is not None:
         expected_dim = L.rd.n
     if expected_dim is not None and H.dim != expected_dim:
         return False
     if not H.is_abelian():
         return False
-    Z = L.center_rows()
+    q = L.level.order
     for i in range(H.dim):
-        b = H.basis.row(i)
-        y = q_power_mod_center(L, b)
-        diff = y - b
-        if diff.is_zero():
-            continue
-        if Z.nrows == 0 or not Z.in_row_space(diff):
+        A = L.ad(H.basis.row(i))
+        if A ** q != A:
             return False
     return True
 
@@ -948,7 +937,7 @@ def _extendable(rd, ws, assign):
     return len(seen) == len(ws.weights)
 
 
-def standard_chevalley_basis(L, rd, rng=None, budgets=None, retries=3):
+def standard_chevalley_basis(L, rd, rng=None, budgets=None):
     """Full construction pipeline; output always passes
     verify_chevalley_basis or a clean failure is raised."""
     rng = rng or random.Random(0)
@@ -956,7 +945,7 @@ def standard_chevalley_basis(L, rd, rng=None, budgets=None, retries=3):
     if L.level.p <= 3:
         raise InputError("characteristic must exceed 3")
     last = None
-    for _ in range(retries):
+    for _ in range(_CHEVALLEY_TRIES):
         try:
             basis = _try_chevalley(L, rd, rng, budgets)
         except BudgetExhausted as exc:
@@ -1138,18 +1127,18 @@ def random_inner_automorphism(L, rd, rng, word_length=6):
         expN = Mat.identity(level, d) + N + N2 * inv2 + N3 * inv6
         g = g @ expN
     # verify: transporting the bracket along g reproduces the tensor
-    Lg = scramble_basis(L, g, check=False)
+    Lg = scramble_basis(L, g)
     if not np.array_equal(Lg.tensor, L.tensor):
         raise VerificationError("automorphism fails bracket preservation")
     return g
 
 
-def scramble_basis(L, P, check=False):
+def scramble_basis(L, P):
     """The bracket of L expressed in the basis given by the rows of P.
 
     Transporting a Lie bracket along an invertible change of basis always
-    yields a Lie algebra, so no Jacobi re-check is needed by default.
+    yields a Lie algebra, so no Jacobi re-check is needed.
     """
     Pinv = P.inverse()
     return LieAlgebraFq(L.level, _bracket_in(L, P, lambda x: x @ Pinv),
-                        rd=None, check="full" if check else "none")
+                        rd=None, check="none")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, InputError, VerificationError
 from .ff import (FqElement, _check_word_size, _list_divmod, _mult_matrix,
-                 _trim)
+                 _power, _trim)
 
 __all__ = [
     "Mat", "PolyFq", "rref", "kernel", "solve", "det", "charpoly",
@@ -63,20 +63,6 @@ def _planes_scale(coeffs, planes, level):
         return planes * int(coeffs[0]) % p
     mult = _mult_matrix(coeffs, level)
     return (mult.T @ planes.reshape(m, -1) % p).reshape(planes.shape)
-
-
-def _power(base, n, mul):
-    """base^n for n >= 1 by square-and-multiply, mul being the product:
-    bits(n) - 1 squarings and popcount(n) - 1 further products, none with
-    the identity."""
-    result = None
-    while True:
-        if n & 1:
-            result = base if result is None else mul(result, base)
-        n >>= 1
-        if not n:
-            return result
-        base = mul(base, base)
 
 
 class Mat:

@@ -184,22 +184,17 @@ class RootDatum:
         self.l = sum(rank for _, rank in self.components)
         self.n = self.l
         # block Cartan matrix and half-norms
-        A = [[0] * self.l for _ in range(self.l)]
+        self.cartan = np.zeros((self.l, self.l), dtype=np.int64)
         d = []
         offset = 0
-        self._blocks = []
         for letter, rank in self.components:
             Ablk, dblk = _cartan_and_lengths(letter, rank)
-            for i in range(rank):
-                for j in range(rank):
-                    A[offset + i][offset + j] = Ablk[i][j]
+            self.cartan[offset:offset + rank, offset:offset + rank] = Ablk
             d.extend(dblk)
-            self._blocks.append((letter, rank, offset))
             offset += rank
-        self.cartan = np.array(A, dtype=np.int64)
         self.halfnorms = tuple(d)
 
-        pos = _positive_roots(A)
+        pos = _positive_roots(self.cartan.tolist())
         order_key = lambda c: (sum(c), tuple(-x for x in c))
         self.pos_coords = sorted(pos, key=order_key)
         self.num_pos = len(self.pos_coords)
@@ -211,25 +206,10 @@ class RootDatum:
                                                  for j in range(self.l))]
                                for i in range(self.l)]
         self._heights = [sum(c) for c in self.coords]
-        self._halfnorm_of_root = [self._halfnorm(c) for c in self.coords]
-        self._build_lattice_coords()
+        self._build_root_form()
         self._build_extraspecial()
 
     # -- basic geometry ----------------------------------------------------
-
-    def _halfnorm(self, c):
-        # (alpha, alpha)/2 with (alpha_i, alpha_j) = A[i][j] * d_j
-        total = 0
-        for i in range(self.l):
-            if not c[i]:
-                continue
-            for j in range(self.l):
-                if c[j]:
-                    total += c[i] * c[j] * int(self.cartan[i, j]) \
-                        * self.halfnorms[j]
-        if total % 2:
-            raise VerificationError("odd pairing of two roots")
-        return total // 2
 
     def root_index(self, coords):
         return self._index.get(tuple(coords))
@@ -247,57 +227,41 @@ class RootDatum:
 
     def pairing(self, i, j):
         """<alpha_i, alpha_j^*> = (alpha_i, alpha_j) / d_j, an integer."""
-        ci, cj = self.coords[i], self.coords[j]
-        total = 0
-        for a in range(self.l):
-            if not ci[a]:
-                continue
-            for b in range(self.l):
-                if cj[b]:
-                    total += ci[a] * cj[b] * int(self.cartan[a, b]) \
-                        * self.halfnorms[b]
-        dj = self._halfnorm_of_root[j]
-        if total % dj:
-            raise VerificationError("coroot pairing not integral")
-        return total // dj
+        return self._pairing[i][j]
 
-    def _build_lattice_coords(self):
-        l = self.l
-        A = self.cartan
+    def _build_root_form(self):
+        """Every pairing of roots and coroots from the Gram matrix
+        G = C (A d) C^T of the invariant form, C the root coordinates and
+        (alpha_i, alpha_j) = A[i][j] d_j on simple roots: the half-norms
+        are half its diagonal, <alpha_i, alpha_j^*> = G[i, j] / d(alpha_j),
+        and alpha^* = sum_j c_j d_j / d(alpha) alpha_j^*."""
+        C = np.array(self.coords, dtype=np.int64)
+        d = np.array(self.halfnorms, dtype=np.int64)
+        gram = C @ (self.cartan * d) @ C.T
+        half, odd = np.divmod(np.diagonal(gram), 2)
+        if odd.any():
+            raise VerificationError("odd pairing of two roots")
+        pairing, rest = np.divmod(gram, half)
+        if rest.any():
+            raise VerificationError("coroot pairing not integral")
+        coroots, rest = np.divmod(C * d, half[:, None])
+        if rest.any():
+            raise VerificationError("coroot coordinates not integral")
         if self.lattice_kind == "sc":
             # X = weight lattice (basis: fundamental weights), Y = coroot
             # lattice (basis: simple coroots)
-            self.root_X = [tuple(int(sum(c[i] * A[i][j] for i in range(l)))
-                                 for j in range(l))
-                           for c in self.coords]
-            self.coroot_Y = [self._coroot_simple_coords(i)
-                             for i in range(self.num_roots)]
+            X, Y = pairing[:, self.simple_indices], coroots
         else:
             # X = root lattice (basis: simple roots), Y = coweight lattice
-            self.root_X = [tuple(c) for c in self.coords]
-            self.coroot_Y = []
-            for i in range(self.num_roots):
-                u = self._coroot_simple_coords(i)
-                self.coroot_Y.append(tuple(
-                    int(sum(A[j][a] * u[a] for a in range(l)))
-                    for j in range(l)))
+            X, Y = C, pairing[self.simple_indices].T
         # duality sanity: <alpha, alpha^*> = 2
-        for i in range(self.num_roots):
-            if sum(x * y for x, y in
-                   zip(self.root_X[i], self.coroot_Y[i])) != 2:
-                raise VerificationError(f"<alpha, alpha^*> != 2 at root {i}")
-
-    def _coroot_simple_coords(self, i):
-        """Coordinates of alpha_i^* in the simple coroot basis."""
-        c = self.coords[i]
-        da = self._halfnorm_of_root[i]
-        out = []
-        for j in range(self.l):
-            v = c[j] * self.halfnorms[j]
-            if v % da:
-                raise VerificationError("coroot coordinates not integral")
-            out.append(v // da)
-        return tuple(out)
+        bad = np.flatnonzero((X * Y).sum(axis=1) != 2)
+        if bad.size:
+            raise VerificationError(f"<alpha, alpha^*> != 2 at root {bad[0]}")
+        self._halfnorm_of_root = half.tolist()
+        self._pairing = pairing.tolist()
+        self.root_X = [tuple(x) for x in X.tolist()]
+        self.coroot_Y = [tuple(y) for y in Y.tolist()]
 
     # -- extraspecial pairs and structure constants -------------------------
 

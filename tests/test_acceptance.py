@@ -221,7 +221,6 @@ def test_criterion_5_chevalley_roundtrip():
                 g = liealg.random_inner_automorphism(L, rd, rng,
                                                      word_length=5)
                 Ls = liealg.scramble_basis(L, g)
-                Ls.pmap = L.pmap
                 runs += 1
                 try:
                     basis = liealg.standard_chevalley_basis(Ls, rd, rng)

@@ -404,6 +404,19 @@ def test_chevalley_bad_algebra_rejected(tmp_path):
     assert code == 2
 
 
+def test_chevalley_algebra_that_is_not_p_closed_fails_recognition(tmp_path):
+    # [x, y] = y, [x, z] = zeta z over GF(25): (ad x)^5 = diag(1, zeta^5) on
+    # (y, z) is no ad w, yet ad x is split; the toral test reads only
+    # (ad h)^q, so the run ends in a recognition failure, not exit 6
+    data = {"dim": 3, "level": "5^(2*1)",
+            "triples": [[0, 1, 1, [1, 0]], [1, 0, 1, [4, 0]],
+                        [0, 2, 2, [0, 1]], [2, 0, 2, [0, 4]]]}
+    path = tmp_path / "not_p_closed.json"
+    path.write_text(json.dumps(data))
+    code, _ = run(["chevalley", "--type", "A1", "--algebra", str(path)])
+    assert code in (3, 4)
+
+
 def test_chevalley_dense_algebra_file(tmp_path):
     # a scrambled B3 (d = 21, dense tensor) passes the exhaustive Jacobi
     # check and is recognised; one corrupted bracket makes it an input error

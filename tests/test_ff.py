@@ -476,7 +476,7 @@ def test_inverse_matches_fermat_power(p, e, r):
         x = level.element(idx)
         inv = x.inverse()
         # the Fermat power x^(q-2), computed without any inverse
-        assert inv.coeffs == ff._coeffs_pow(x.coeffs, level.order - 2, level)
+        assert inv.coeffs == (x ** (level.order - 2)).coeffs
         assert x * inv == level.one
     with pytest.raises(ZeroDivisionError):
         level.zero.inverse()

@@ -123,6 +123,69 @@ def test_is_split_toral_h0_and_ef():
         assert is_split_toral(L, H) is expect
 
 
+def _split_toral_by_p_power(L, H):
+    """The definition: H abelian and b^[q] = b + Z(L) on a basis, the
+    q-power being the p-power taken m times."""
+    if not H.is_abelian():
+        return False
+    Z = L.center_rows()
+    for i in range(H.dim):
+        b = H.basis.row(i)
+        diff = p_power_mod_center(L, b, times=L.level.m) - b
+        if not diff.is_zero() and (Z.nrows == 0 or not Z.in_row_space(diff)):
+            return False
+    return True
+
+
+def _toral_candidates(L, rd, rng):
+    """Seeded subspaces, conjugated by one inner automorphism: the split
+    Cartan, random level multiples of Cartan combinations, sl2 elements
+    e_a - t e_-a with t a square and a nonsquare, root vectors, Cartan
+    elements plus a root vector, and random vectors."""
+    level, n = L.level, rd.n
+    g = random_inner_automorphism(L, rd, rng, word_length=4)
+    square, nonsquare = level.one, next(
+        t for t in level.elements() if t and t ** ((level.order - 1) // 2)
+        != level.one)
+
+    def elt():
+        return level.element(rng.randrange(1, level.order))
+
+    def cartan():
+        return sum((unit(L, i) * elt() for i in range(n)),
+                   Mat.zeros(level, 1, L.dim))
+
+    out = [Mat.vstack([unit(L, i) for i in range(n)])]
+    for _ in range(4):
+        out.append(cartan())
+        r = rng.randrange(rd.num_roots)
+        for t in (square, nonsquare):
+            out.append(unit(L, n + r) - unit(L, n + rd.neg(r)) * t)
+        out.append(unit(L, n + r) * elt())
+        out.append(cartan() + unit(L, n + r))
+        out.append(L.random_vector(rng))
+    if n > 1:
+        out.append(Mat.vstack([cartan() for _ in range(n - 1)]))
+    return [Subalgebra(L, rows @ g) for rows in out]
+
+
+@pytest.mark.parametrize("t, kind, p, e", [
+    ("A1", "sc", 7, 1), ("B2", "sc", 7, 1), ("G2", "sc", 7, 1),
+    ("A1", "sc", 5, 2), ("A2", "ad", 5, 2), ("B2", "sc", 5, 2),
+    ("A4", "sc", 5, 1)])
+def test_is_split_toral_matches_the_p_power_definition(t, kind, p, e):
+    rd = rd_of(t, kind)
+    L = from_root_datum(rd, tower(p, e))
+    if t == "A4":
+        assert L.center_rows().nrows == 1
+    outcomes = set()
+    for H in _toral_candidates(L, rd, random.Random(f"{t}{kind}{p}{e}")):
+        want = _split_toral_by_p_power(L, H)
+        assert is_split_toral(L, H, expected_dim=H.dim) is want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 def test_is_regular_semisimple_examples():
     L7 = sl2(7)
     assert is_regular_semisimple(L7, unit(L7, 0))

@@ -38,6 +38,61 @@ def test_pairing_normalization():
                 assert abs(rd.pairing(i, j)) <= 3
 
 
+ORACLE_TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
+                + [f"C{n}" for n in range(2, 7)] + ["D4", "D5", "D6", "G2", "F4",
+                                                    "E6", "E7", "E8", "B3xA1"])
+
+
+def _root_form_reference(rd):
+    """Half-norms, pairings, root_X and coroot_Y one root at a time, in
+    Python ints, from (alpha_i, alpha_j) = A[i][j] d_j on simple roots."""
+    l, A, d = rd.l, rd.cartan.tolist(), rd.halfnorms
+
+    def form(c, c2):
+        return sum(c[i] * c2[j] * A[i][j] * d[j]
+                   for i in range(l) for j in range(l))
+
+    half = []
+    for c in rd.coords:
+        assert form(c, c) % 2 == 0
+        half.append(form(c, c) // 2)
+    pairing = []
+    for c in rd.coords:
+        row = []
+        for j, c2 in enumerate(rd.coords):
+            assert form(c, c2) % half[j] == 0
+            row.append(form(c, c2) // half[j])
+        pairing.append(row)
+    root_X, coroot_Y = [], []
+    for c, h in zip(rd.coords, half):
+        assert all(c[j] * d[j] % h == 0 for j in range(l))
+        u = [c[j] * d[j] // h for j in range(l)]   # in simple coroots
+        if rd.lattice_kind == "sc":
+            root_X.append(tuple(sum(c[i] * A[i][j] for i in range(l))
+                                for j in range(l)))
+            coroot_Y.append(tuple(u))
+        else:
+            root_X.append(tuple(c))
+            coroot_Y.append(tuple(sum(A[j][a] * u[a] for a in range(l))
+                                  for j in range(l)))
+    return half, pairing, root_X, coroot_Y
+
+
+@pytest.mark.parametrize("kind", ["sc", "ad"])
+@pytest.mark.parametrize("t", ORACLE_TYPES)
+def test_root_form_matches_per_root_reference(t, kind):
+    rd = rdm.build(t, kind)
+    half, pairing, root_X, coroot_Y = _root_form_reference(rd)
+    assert rd._halfnorm_of_root == half
+    assert [[rd.pairing(i, j) for j in range(rd.num_roots)]
+            for i in range(rd.num_roots)] == pairing
+    assert rd.root_X == root_X and rd.coroot_Y == coroot_Y
+    # Python ints throughout: ymat concatenates the coroot tuples
+    assert all(type(x) is int for v in rd.root_X + rd.coroot_Y for x in v)
+    assert all(sum(x * y for x, y in zip(rd.root_X[i], rd.coroot_Y[i])) == 2
+               for i in range(rd.num_roots))
+
+
 def test_roots_closed_under_reflection_and_negation():
     rd = rdm.build("G2")
     for i in range(rd.num_roots):
