@@ -45,6 +45,15 @@ def _load_json_arg(text):
                          f"({exc})") from None
 
 
+def _json_of(data, kind, what):
+    """data, checked to be a nonempty JSON array (kind list) or object
+    (kind dict)."""
+    if not isinstance(data, kind) or not data:
+        raise InputError(f"{what} JSON must be a nonempty "
+                         f"{'array' if kind is list else 'object'}")
+    return data
+
+
 def _parse_entry(level, value):
     if isinstance(value, int):
         return level.scalar(value)
@@ -57,12 +66,10 @@ def _parse_entry(level, value):
     raise InputError(f"bad field element {value!r}")
 
 
-def _parse_matrix(level, data):
-    if not isinstance(data, list) or not data \
-            or any(not isinstance(row, list) for row in data):
-        raise InputError("matrix JSON must be a nonempty array of rows")
-    return Mat.from_entries(
-        level, [[_parse_entry(level, v) for v in row] for row in data])
+def _parse_matrix(level, data, what):
+    return Mat.from_entries(level, [
+        [_parse_entry(level, v) for v in _json_of(row, list, f"{what} row")]
+        for row in _json_of(data, list, what)])
 
 
 def _emit(args, payload, text):
@@ -79,7 +86,7 @@ def _emit(args, payload, text):
 def cmd_lang(args):
     rng = random.Random(_seed_from(args))
     if args.instance:
-        spec = _load_json_arg(args.instance)
+        spec = _json_of(_load_json_arg(args.instance), dict, "instance")
         group = spec.get("group")
         p = spec.get("p")
         e = spec.get("e", 1)
@@ -95,12 +102,12 @@ def cmd_lang(args):
         form_data = _load_json_arg(args.form) if args.form else None
     if group is None or p is None or c_data is None:
         raise InputError("need a group kind, p, and c")
+    probe = _json_of(c_data, list, "c")[0]
+    if group != "Torus":
+        probe = _json_of(probe, list, "c row")[0]
     tower = ff.make_tower(p, e)
     if r is None:
         # infer the carrier level from coefficient array lengths
-        probe = c_data[0]
-        if group != "Torus" and isinstance(probe, list):
-            probe = probe[0]
         if isinstance(probe, list):
             if len(probe) % tower.e:
                 raise InputError("entry length incompatible with e")
@@ -110,13 +117,15 @@ def cmd_lang(args):
     level = tower.level(tower.extend(r))
     form = None
     if form_data is not None:
-        gram = _parse_matrix(tower.level(1), form_data["gram"])
-        form = lang.BilinearFormFq(form_data["kind"], gram)
+        form_data = _json_of(form_data, dict, "form")
+        gram = _parse_matrix(tower.level(1), form_data.get("gram"),
+                             "form gram")
+        form = lang.BilinearFormFq(form_data.get("kind"), gram)
     if group == "Torus":
         c = [_parse_entry(level, v) for v in c_data]
         size = len(c)
     else:
-        c = _parse_matrix(level, c_data)
+        c = _parse_matrix(level, c_data, "c")
         size = c.nrows
     if args.d is not None and args.d != size:
         raise InputError(f"--d {args.d}, but c has size {size}")
@@ -142,7 +151,7 @@ def cmd_chevalley(args):
     if args.p is not None and args.p <= 3:
         raise InputError("characteristic must exceed 3")
     if args.algebra:
-        data = _load_json_arg(args.algebra)
+        data = _json_of(_load_json_arg(args.algebra), dict, "algebra")
         levelspec = data.get("level", "")
         try:
             p_part, rest = levelspec.split("^")
@@ -156,9 +165,14 @@ def cmd_chevalley(args):
             raise InputError("characteristic must exceed 3")
         tower = ff.make_tower(p, e)
         level = tower.level(tower.extend(r))
-        dim = data["dim"]
+        dim, triples = data.get("dim"), data.get("triples")
+        if not isinstance(dim, int) or dim < 0 \
+                or not isinstance(triples, list) or any(
+                    not isinstance(t, list) or len(t) != 4 for t in triples):
+            raise InputError("algebra JSON needs a dim and a list of "
+                             "[i, j, k, value] triples")
         triples = [(i, j, k, _parse_entry(level, v))
-                   for i, j, k, v in data["triples"]]
+                   for i, j, k, v in triples]
         L = liealg.LieAlgebraFq.from_entries(level, dim, triples,
                                              check="full")
     else:

@@ -5,8 +5,12 @@ recognition.  Requires characteristic > 3 throughout.
 
 Vectors are coordinate rows; the structure tensor T satisfies
 [b_i, b_j] = sum_k T[i,j,k] b_k, and ad(x) is the matrix with
-y @ ad(x) = [y, x].  The p-power map is only ever used modulo the center,
-through ad(y) = (ad x)^p, so no s_i terms are needed anywhere.
+y @ ad(x) = [y, x].  ad of a basis of k rows is one d x kd block row, so
+abelian tests, centralizers and the center (the left kernel of ad L) are
+each one product or one kernel, and one closure loop yields both the
+subalgebra and the ideal a span generates.  The p-power map is only ever
+used modulo the center, through ad(y) = (ad x)^p, so no s_i terms are
+needed anywhere.
 
 All searches are Las Vegas: they take an explicit RNG and a budget, verify
 their candidate before returning, and raise BudgetExhausted rather than
@@ -89,9 +93,14 @@ class LieAlgebraFq:
 
     @classmethod
     def from_entries(cls, level, dim, triples, rd=None, check="full"):
-        """triples: iterable of (i, j, k, value)."""
+        """triples: iterable of (i, j, k, value), each index in
+        range(dim)."""
         planes = np.zeros((level.m, dim, dim, dim), dtype=np.int64)
         for i, j, k, v in triples:
+            if not all(isinstance(t, (int, np.integer)) and 0 <= t < dim
+                       for t in (i, j, k)):
+                raise InputError(f"triple index ({i}, {j}, {k}) outside "
+                                 f"range({dim})")
             planes[:, i, j, k] = level.element(v).coeffs
         return cls(level, planes, rd=rd, check=check)
 
@@ -130,10 +139,13 @@ class LieAlgebraFq:
     # -- core linear structure ----------------------------------------------
 
     def ad(self, x):
-        """Matrix A with y @ A = [y, x] for a row vector x (1 x d Mat)."""
+        """The d x kd block row [ad x_1 | ... | ad x_k] for the k rows x_i
+        of x, y @ ad x_i = [y, x_i]; for one row, the matrix ad x.  Every
+        block comes out of one product with `ad_rep_matrix`."""
         level, d = self.level, self.dim
         prod = _planes_matmul(x.planes, self.ad_rep_matrix().planes, level)
-        return Mat(level, prod.reshape(level.m, d, d))
+        return Mat(level, prod.reshape(level.m, x.nrows, d, d).transpose(
+            0, 2, 1, 3).reshape(level.m, d, x.nrows * d))
 
     def ad_rep_matrix(self):
         """d x d^2 matrix R with row i = vec(ad(b_i)); y @ R = vec(ad(y))."""
@@ -145,11 +157,9 @@ class LieAlgebraFq:
         return self._ad_rep
 
     def center_rows(self):
+        """Z(L), the left kernel of ad L."""
         if self._center is None:
-            d = self.dim
-            big = Mat(self.level,
-                      self.tensor.reshape(self.level.m, d, d * d).copy())
-            self._center = big.left_kernel().row_space()
+            self._center = self.ad(self.full_space()).left_kernel()
         return self._center
 
     def full_space(self):
@@ -219,21 +229,26 @@ def _jacobi_slabs(T, level):
     return True
 
 
-def _unit(L, i):
-    v = Mat.zeros(L.level, 1, L.dim)
-    v.planes[0, 0, i] = 1
-    return v
+def _brackets(L, rows, A, k):
+    """rows @ A for the block row A = ad(g) of k rows g_j, restacked so
+    that [rows_i, g_j] is row i k + j."""
+    return Mat(L.level, (rows @ A).planes.reshape(
+        L.level.m, rows.nrows * k, L.dim))
 
 
 def _bracket_in(L, rows, coords):
     """Structure tensor planes of L's bracket on the span of the rows:
-    [:, :, j, :] = coords(rows @ ad(rows_j)), where coords writes rows of
-    L in the coordinates of the span."""
+    [:, i, j, :] = coords([rows_i, rows_j]), where coords writes rows of L
+    in the coordinates of the span."""
     k = rows.nrows
-    planes = np.zeros((L.level.m, k, k, k), dtype=np.int64)
-    for j in range(k):
-        planes[:, :, j, :] = coords(rows @ L.ad(rows.row(j))).planes
-    return planes
+    return coords(_brackets(L, rows, L.ad(rows), k)).planes.reshape(
+        L.level.m, k, k, k)
+
+
+def _blocks(A, k):
+    """The k square blocks of a block row [A_1 | ... | A_k]."""
+    d = A.nrows
+    return [A.take_cols(range(i * d, (i + 1) * d)) for i in range(k)]
 
 
 class Subalgebra:
@@ -252,12 +267,7 @@ class Subalgebra:
         return self.basis.solve_left(other.basis) is not None
 
     def is_abelian(self):
-        B = self.basis
-        for i in range(B.nrows):
-            A = self.parent.ad(B.row(i))
-            if not (B @ A).is_zero():
-                return False
-        return True
+        return (self.basis @ self.parent.ad(self.basis)).is_zero()
 
     def restricted_algebra(self):
         """The bracket restricted to this subspace, as its own algebra.
@@ -407,10 +417,7 @@ def center(L):
 def centralizer(L, S):
     """Joint ad-kernel of the generators of S (Subalgebra or row Mat)."""
     rows = S.basis if isinstance(S, Subalgebra) else S
-    if rows.nrows == 0:
-        return Subalgebra(L, L.full_space())
-    ads = [L.ad(rows.row(i)) for i in range(rows.nrows)]
-    return Subalgebra(L, Mat.hstack(ads).left_kernel())
+    return Subalgebra(L, L.ad(rows).left_kernel())
 
 
 def is_abelian(S):
@@ -442,18 +449,11 @@ def is_split_toral(L, H, expected_dim=None):
         expected_dim = L.rd.n
     if expected_dim is not None and H.dim != expected_dim:
         return False
-    if not H.is_abelian():
+    A = L.ad(H.basis)
+    if not (H.basis @ A).is_zero():
         return False
     q = L.level.order
-    for i in range(H.dim):
-        A = L.ad(H.basis.row(i))
-        if A ** q != A:
-            return False
-    return True
-
-
-def _minpoly_squarefree(L, x):
-    return L.ad(x).minpoly_squarefree()
+    return all(B ** q == B for B in _blocks(A, H.dim))
 
 
 def is_regular_semisimple(L, x, expected_dim=None):
@@ -466,7 +466,7 @@ def is_regular_semisimple(L, x, expected_dim=None):
     C = centralizer(L, x.row_space() if isinstance(x, Mat) else x)
     if C.dim != expected_dim or not C.is_abelian():
         return False
-    return _minpoly_squarefree(L, x)
+    return L.ad(x).minpoly_squarefree()
 
 
 def maximal_toral_subalgebra(L, rng, budgets=None):
@@ -482,7 +482,7 @@ def maximal_toral_subalgebra(L, rng, budgets=None):
         x = coeff @ M.basis
         if x.is_zero():
             continue
-        if not _minpoly_squarefree(L, x):
+        if not L.ad(x).minpoly_squarefree():
             continue
         C = centralizer(L, x)
         inter = intersect_spaces(C.basis, M.basis)
@@ -568,7 +568,7 @@ def generalized_roots(L, H, Z=None, rng=None, quotient=None):
     Qalg = Q.algebra()
     Hq = Q.project(H.basis).row_space()
     spaces = _refine(Mat.identity(L.level, Qalg.dim),
-                     [Qalg.ad(Hq.row(i)) for i in range(Hq.nrows)], rng)
+                     _blocks(Qalg.ad(Hq), Hq.nrows), rng)
     out = []
     total = 0
     for fpref, W in spaces:
@@ -589,29 +589,15 @@ def generalized_roots(L, H, Z=None, rng=None, quotient=None):
 # Components and the split search
 # ---------------------------------------------------------------------------
 
-def _closure(L, rows):
-    """Bracket closure of a row space inside L."""
+def _closure(L, rows, gens=None):
+    """Closure of a row space under bracketing with the rows of gens: the
+    subalgebra it generates when gens is None (the space itself each
+    round), the ideal when gens = L.full_space()."""
     cur = rows.row_space()
+    fixed = None if gens is None else (L.ad(gens), gens.nrows)
     while True:
-        prods = [cur]
-        for i in range(cur.nrows):
-            prods.append(cur @ L.ad(cur.row(i)))
-        nxt = Mat.vstack(prods).row_space()
-        if nxt.nrows == cur.nrows:
-            return nxt
-        cur = nxt
-
-
-def _ideal_closure(L, rows):
-    """Closure of a row space under bracketing with all of L.  The rows of
-    ad(y) are the [b_t, y], so one product with `ad_rep_matrix` brackets
-    the span with every basis vector."""
-    cur = rows.row_space()
-    m, d = L.level.m, L.dim
-    while True:
-        brackets = (cur @ L.ad_rep_matrix()).planes.reshape(
-            m, cur.nrows * d, d)
-        nxt = Mat.vstack([cur, Mat(L.level, brackets)]).row_space()
+        A, k = fixed or (L.ad(cur), cur.nrows)
+        nxt = Mat.vstack([cur, _brackets(L, cur, A, k)]).row_space()
         if nxt.nrows == cur.nrows:
             return nxt
         cur = nxt
@@ -636,7 +622,7 @@ def components(L, H=None, Z=None, rng=None, budgets=None):
     grs, _ = generalized_roots(L, H, Z=zrows, rng=rng)
     if not grs:
         return [Subalgebra(L, L.full_space())]
-    msubs = [_ideal_closure(L, gr[1].basis) for gr in grs]
+    msubs = [_closure(L, gr[1].basis, L.full_space()) for gr in grs]
     k = len(msubs)
     adj = [[False] * k for _ in range(k)]
     for i in range(k):
@@ -673,8 +659,8 @@ def _k2_root_pair(L, Q, Hq, Wq, rng):
     tower = L.level.tower
     r2 = tower.extend(2 * L.level.r)
     Q2 = Q.algebra().embed(r2)
-    spaces = _refine(Wq.embed(r2), [Q2.ad(Hq.row(i).embed(r2))
-                                    for i in range(Hq.nrows)], rng)
+    spaces = _refine(Wq.embed(r2), _blocks(Q2.ad(Hq.embed(r2)), Hq.nrows),
+                     rng)
     if any(g.degree != 1 for label, _ in spaces for g in label):
         raise VerificationError("nonlinear eigenvalue over k_2")
     # any eigenline is a root space; its Frobenius conjugate spans the
@@ -799,10 +785,10 @@ def root_decomposition(L, H):
     The parts are generalized weight spaces; requiring every nonzero one to
     be a line and the zero one to be H (on which ad H vanishes) also shows
     that each ad h is diagonalizable."""
-    if not H.is_abelian():
+    A = L.ad(H.basis)
+    if not (H.basis @ A).is_zero():
         raise InputError("H is not abelian")
-    spaces = _refine(Mat.identity(L.level, L.dim),
-                     [L.ad(H.basis.row(i)) for i in range(H.dim)],
+    spaces = _refine(Mat.identity(L.level, L.dim), _blocks(A, H.dim),
                      random.Random(0))
     if any(g.degree != 1 for label, _ in spaces for g in label):
         raise InputError("H is not split: nonlinear eigenvalue")
@@ -1119,7 +1105,7 @@ def random_inner_automorphism(L, rd, rng, word_length=6):
     for _ in range(word_length):
         ridx = rng.randrange(rd.num_roots)
         t = level.element(rng.randrange(level.order))
-        N = L.ad(_unit(L, rd.n + ridx)) * t
+        N = L.ad(L.full_space().row(rd.n + ridx)) * t
         N2 = N @ N
         N3 = N2 @ N
         if not (N3 @ N).is_zero():

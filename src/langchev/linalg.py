@@ -280,13 +280,8 @@ class Mat:
 
     def left_kernel(self):
         """Rows v with v @ self = 0, in reduced echelon form."""
-        aug = Mat.hstack([self, Mat.identity(self.level, self.nrows)])
-        R, _ = aug.rref()
-        left = R.take_cols(range(self.ncols))
-        idx = [i for i in range(self.nrows)
-               if not left.planes[:, i, :].any()]
-        return R.take_rows(idx).take_cols(
-            range(self.ncols, self.ncols + self.nrows))
+        _, tail, rank, _ = _reduce_with_identity(self)
+        return tail.take_rows(range(rank, self.nrows))
 
     def solve_left(self, rhs):
         """X with X @ self = rhs, or None when inconsistent.  When self is
@@ -296,17 +291,11 @@ class Mat:
         if pivots is not None:
             coeff = rhs.take_cols(pivots)
             return coeff if coeff @ self == rhs else None
-        aug = Mat.hstack([self, Mat.identity(self.level, self.nrows)])
-        R, pivots = aug.rref()
-        pivots = [c for c in pivots if c < self.ncols]
-        rank = len(pivots)
-        body = R.take_rows(range(rank)).take_cols(range(self.ncols))
-        tail = R.take_rows(range(rank)).take_cols(
-            range(self.ncols, self.ncols + self.nrows))
+        body, tail, rank, pivots = _reduce_with_identity(self)
         coeff = rhs.take_cols(pivots)
-        if not (coeff @ body) == rhs:
+        if not (coeff @ body.take_rows(range(rank))) == rhs:
             return None
-        return coeff @ tail
+        return coeff @ tail.take_rows(range(rank))
 
     def in_row_space(self, vec):
         return self.solve_left(vec) is not None
@@ -314,11 +303,8 @@ class Mat:
     def try_inverse(self):
         if self.nrows != self.ncols:
             raise InputError("inverse needs a square matrix")
-        aug = Mat.hstack([self, Mat.identity(self.level, self.nrows)])
-        R, pivots = aug.rref()
-        if pivots != list(range(self.nrows)):
-            return None
-        return R.take_cols(range(self.nrows, 2 * self.nrows))
+        _, tail, rank, _ = _reduce_with_identity(self)
+        return tail if rank == self.nrows else None
 
     def inverse(self):
         inv = self.try_inverse()
@@ -493,6 +479,18 @@ def _eliminate(planes, level):
     return pivots, leads, swaps
 
 
+def _reduce_with_identity(A):
+    """Row-reduce [A | I] once.  Returns (body, tail, rank, pivots): the
+    reduced matrix split after A's columns, A's rank and its pivot columns.
+    The first rank rows of the tail write A's echelon rows in A's rows;
+    the others are a reduced echelon basis of A's left kernel."""
+    n = A.ncols
+    R, pivots = Mat.hstack([A, Mat.identity(A.level, A.nrows)]).rref()
+    pivots = [c for c in pivots if c < n]
+    return (R.take_cols(range(n)), R.take_cols(range(n, n + A.nrows)),
+            len(pivots), pivots)
+
+
 def _descend(rows, level):
     """Rows over an extension level whose entries all lie in the image of
     the base level; returns their base-level preimages (or None)."""
@@ -515,13 +513,11 @@ def _descent_solver(src, level):
     solver = src._descents.get(level.r)
     if solver is not None:
         return solver
-    emb = src.embed_from[level.r] % level.p
-    m_low, m_high = emb.shape
-    aug = np.concatenate([emb, np.eye(m_low, dtype=np.int64)], axis=1)
-    pivots = _eliminate(aug[None], level.tower.prime_level())[0]
-    r = sum(c < m_high for c in pivots)
-    solver = (np.array(pivots[:r], dtype=np.intp), aug[:r, :m_high],
-              aug[:r, m_high:])
+    body, tail, r, pivots = _reduce_with_identity(
+        Mat(level.tower.prime_level(), src.embed_from[level.r][None]
+            % level.p))
+    solver = (np.array(pivots, dtype=np.intp), body.planes[0, :r],
+              tail.planes[0, :r])
     return src._descents.setdefault(level.r, solver)
 
 

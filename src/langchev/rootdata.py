@@ -225,6 +225,11 @@ class RootDatum:
         s = tuple(a + b for a, b in zip(self.coords[i], self.coords[j]))
         return self._index.get(s)
 
+    def sub_roots(self, i, j):
+        """Index of alpha_i - alpha_j, or None if not a root (or zero)."""
+        s = tuple(a - b for a, b in zip(self.coords[i], self.coords[j]))
+        return self._index.get(s)
+
     def pairing(self, i, j):
         """<alpha_i, alpha_j^*> = (alpha_i, alpha_j) / d_j, an integer."""
         return self._pairing[i][j]
@@ -272,8 +277,7 @@ class RootDatum:
                 continue
             best = None
             for a in range(self.num_pos):
-                b = self.root_index(tuple(
-                    x - y for x, y in zip(self.coords[k], self.coords[a])))
+                b = self.sub_roots(k, a)
                 if b is not None and b < self.num_pos:
                     best = (a, b)
                     break  # positives are scanned in the fixed order
@@ -311,20 +315,17 @@ class RootDatum:
             N[(g, dl)] = self._string_down(g, dl) + 1
             N[(dl, g)] = -N[(g, dl)]
             for a in range(npos):
-                b = self.root_index(tuple(
-                    x - y for x, y in zip(self.coords[k], self.coords[a])))
+                b = self.sub_roots(k, a)
                 if b is None or b >= npos or a == g or b == g or a > b:
                     continue
                 # Jacobi against e_{-gamma}:
                 #   N(a,b) N(k,-g) = N(a,-g) N(a-g,b) + N(b,-g) N(a,b-g)
                 t = 0
-                amg = self.root_index(tuple(
-                    x - y for x, y in zip(self.coords[a], self.coords[g])))
+                amg = self.sub_roots(a, g)
                 if amg is not None:
                     t += self._nval(N, a, self.neg(g)) \
                         * self._nval(N, amg, b)
-                bmg = self.root_index(tuple(
-                    x - y for x, y in zip(self.coords[b], self.coords[g])))
+                bmg = self.sub_roots(b, g)
                 if bmg is not None:
                     t += self._nval(N, b, self.neg(g)) \
                         * self._nval(N, a, bmg)
@@ -691,8 +692,7 @@ def _simple_system_of(rd, positive_part):
     for i in positive_part:
         decomposable = False
         for a in positive_part:
-            b = rd.root_index(tuple(
-                x - y for x, y in zip(rd.coords[i], rd.coords[a])))
+            b = rd.sub_roots(i, a)
             if b is not None and b in pset and b != i:
                 decomposable = True
                 break

@@ -48,6 +48,29 @@ def test_lang_malformed_matrix():
     assert code == 2
 
 
+_GL5 = ["lang", "--group", "GL", "--p", "5", "--c"]
+_A1_ALGEBRA = ["chevalley", "--type", "A1", "--algebra"]
+
+
+@pytest.mark.parametrize("argv", [
+    _GL5 + ["[]"], _GL5 + ["[[]]"], _GL5 + ["5"], _GL5 + ['{"a":1}'],
+    ["lang", "--group", "Torus", "--p", "5", "--c", "[]"],
+    ["lang", "--instance", "[1]"],
+    ["lang", "--group", "Sp", "--p", "5", "--c", "[[1,0],[0,1]]",
+     "--form", '{"kind":"symplectic"}'],
+    _A1_ALGEBRA + ['{"level":"5^(1*1)"}'],
+    _A1_ALGEBRA + ['{"level":"5^(1*1)","dim":3,"triples":[[0,1,3,[1]]]}'],
+    _A1_ALGEBRA + ['{"level":"5^(1*1)","dim":3,"triples":[[0,1]]}'],
+], ids=["empty", "empty-row", "scalar", "object", "torus-empty",
+        "instance-array", "form-without-gram", "algebra-without-dim",
+        "triple-past-dim", "short-triple"])
+def test_malformed_json_is_an_input_error(argv, capsys):
+    code, out = run(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == ""
+    assert len(err) == 1 and err[0].startswith("input error: ")
+
+
 def test_lang_singular_c():
     code, _ = run(["lang", "--group", "GL", "--p", "3", "--c",
                    "[[1,1],[1,1]]"])

@@ -89,6 +89,29 @@ def test_ad_h_diagonal_on_sl2():
                 assert not A.entry(i, j)
 
 
+@pytest.mark.parametrize("p, e", [(7, 1), (5, 2)])
+@pytest.mark.parametrize("k", [0, 1, 2, "d"])
+def test_ad_of_k_rows_is_the_block_row_of_single_ads(p, e, k):
+    L = from_root_datum(rd_of("A2"), tower(p, e))
+    d, m = L.dim, L.level.m
+    k = d if k == "d" else k
+    rows = Mat.random(L.level, k, d, random.Random(k))
+    A = L.ad(rows)
+    assert (A.nrows, A.ncols) == (d, k * d)
+    singles = [L.ad(rows.row(i)) for i in range(k)]
+    assert A == (Mat.hstack(singles) if k else Mat.zeros(L.level, d, 0))
+    # on the basis, block j is ad b_j: its row a is [b_a, b_j]
+    blocks = L.ad(L.full_space()).planes.reshape(m, d, d, d)
+    assert np.array_equal(blocks, L.tensor)
+
+
+def test_from_entries_rejects_a_triple_index_past_dim():
+    level = tower(5).level(1)
+    for bad in [(0, 1, 3, 1), (3, 0, 1, 1), (0, -1, 2, 1)]:
+        with pytest.raises(InputError, match="outside range"):
+            liealg.LieAlgebraFq.from_entries(level, 3, [bad])
+
+
 def test_center_examples():
     assert center(sl2(5)).dim == 0
     L = from_root_datum(rd_of("A4"), tower(5))

@@ -335,6 +335,25 @@ def test_matrix_order_exact_when_dropped_prime_is_not_in_the_order(
     assert linalg.matrix_order(M) == 3
 
 
+@pytest.mark.parametrize("p, rows", [
+    (7, [[1]]),                    # order 1
+    (7, [[3, 0], [0, 6]]),         # order 6
+    (7, [[1, 1], [0, 1]]),         # order 7
+    (5, [[0, 1], [3, 0]]),         # charpoly x^2 - 3, irreducible mod 5
+    (3, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
+])
+def test_matrix_order_steps_when_the_bound_resists_factoring(monkeypatch,
+                                                             p, rows):
+    M = Mat.from_int_rows(lvl(p), rows)
+    order = _brute_order(M)
+    monkeypatch.setattr(linalg, "_factor_int", lambda n, rng: None)
+    assert linalg.matrix_order(M, cap=order) == order
+    assert linalg.matrix_order(M, cap=order + 5) == order
+    if order > 1:
+        with pytest.raises(BudgetExhausted, match=f"exceeds cap {order - 1}"):
+            linalg.matrix_order(M, cap=order - 1)
+
+
 # Towers over GF(p^e) with the levels 1 .. 4 built, for the level tests.
 _level_towers = {}
 
