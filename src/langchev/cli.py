@@ -54,6 +54,25 @@ def _json_of(data, kind, what):
     return data
 
 
+def _json_int(value, what):
+    """value, checked to be a JSON integer (not a bool) or absent."""
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, int)):
+        raise InputError(f"{what} must be a JSON integer, not {value!r}")
+    return value
+
+
+def _auto_int(value, what):
+    """A command-line integer, or None for auto."""
+    if value in (None, "auto"):
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError(f"{what} must be an integer or auto, not "
+                         f"{value!r}") from None
+
+
 def _parse_entry(level, value):
     if isinstance(value, int):
         return level.scalar(value)
@@ -88,16 +107,15 @@ def cmd_lang(args):
     if args.instance:
         spec = _json_of(_load_json_arg(args.instance), dict, "instance")
         group = spec.get("group")
-        p = spec.get("p")
-        e = spec.get("e", 1)
-        r = spec.get("r")
-        s = spec.get("s")
+        p, e, r, s = (_json_int(spec.get(key, default), f"instance {key}")
+                      for key, default in (("p", None), ("e", 1),
+                                           ("r", None), ("s", None)))
         c_data = spec.get("c")
         form_data = spec.get("form")
     else:
         group, p, e = args.group, args.p, args.e
-        r = None if args.r in (None, "auto") else int(args.r)
-        s = None if args.s in (None, "auto") else int(args.s)
+        r, s = (_auto_int(value, flag)
+                for value, flag in ((args.r, "--r"), (args.s, "--s")))
         c_data = _load_json_arg(args.c)
         form_data = _load_json_arg(args.form) if args.form else None
     if group is None or p is None or c_data is None:

@@ -10,7 +10,8 @@ instances.  Two F-eigenspace routines are provided: a deterministic one
 over the prime field, and the randomized summation method whose accumulate
 is itself the GL solution (the telescoping identity a^F c = a is checked on
 every success) and whose determinant scales the SL solution.  Sp and SO
-solutions come from an eigenbasis normalized by a normal basis for the form.
+solutions come from that eigenbasis normalized for the form: the Witt
+recursion runs over k, on coordinates against the eigenbasis's Gram matrix.
 
 Everything returns verified certificates; verification is exact, entrywise,
 reports the first failing relation on bad input, and is the one det = 1
@@ -132,13 +133,15 @@ class BilinearFormFq:
     def normalized(self):
         """(P, P^-1, the form in the basis P) for a normal basis P of the
         whole space, in which the Gram matrix is canonical; built on first
-        use and kept."""
+        use and kept.  When P = I, as for every canonical Gram matrix, this
+        is (None, None, self): there is no change of basis to make."""
         level1 = self.gram.level
-        P = Mat.vstack(normal_basis(Mat.identity(level1, self.gram.nrows),
-                                    self))
+        P = _normal_coords(self.gram, self)
         M0 = P @ self.gram @ P.transpose()
         if not _is_canonical_gram(level1, self.kind, M0):
             raise VerificationError("normal basis Gram not canonical")
+        if P == Mat.identity(level1, P.nrows):
+            return None, None, self
         return P, P.inverse(), BilinearFormFq(self.kind, M0, self.delta)
 
 
@@ -293,7 +296,11 @@ def norm_and_order(tower, c, r=None, cap=10 ** 6):
         N = c.frobenius(i) @ N
     if not N.frobenius(r) == N:
         raise VerificationError("norm not fixed by F^r")
-    s = matrix_order(N, cap=cap)
+    # a nonzero 1 x 1 norm fixed by F lies in k^*: its order divides q - 1
+    multiple = None
+    if N.nrows == 1 and N.planes.any() and N.frobenius(1) == N:
+        multiple = tower.level(1).order - 1
+    s = matrix_order(N, cap=cap, multiple=multiple)
     return N, s
 
 
@@ -466,6 +473,10 @@ def solve_so(instance, rng):
 
 
 def _solve_form_group(instance, rng):
+    """The eigenspace a at k_rs, then all form work over k: the Witt
+    recursion runs on coordinates against G_E = descend(a M0 a^T), so B =
+    C a for the normal coordinates C, its Gram matrix is C G_E C^T and, for
+    SO, det B = det C det a."""
     tower = instance.tower
     level1 = tower.level(1)
     form = instance.form
@@ -474,37 +485,33 @@ def _solve_form_group(instance, rng):
     P, Pinv, norm_form = form.normalized
     M0 = norm_form.gram
     c = instance.c
-    cP = P.embed(c.level.r) @ c @ Pinv.embed(c.level.r)
+    if P is not None:
+        c = P.embed(c.level.r) @ c @ Pinv.embed(c.level.r)
     rs = tower.extend(instance.rs)
-    a_gl, _ = f_eigenspace_lv(cP, rs, rng)
-    # rows of a_gl form a k-basis of E(k); the restricted form is over k
-    B_rows = normal_basis(a_gl, norm_form)
-    B = Mat.vstack(B_rows)
-    G = B @ M0.embed(rs) @ B.transpose()
-    Gd = _descend(G, level1)
-    if Gd is None:
-        raise VerificationError("restricted Gram not over the base field")
+    a, det_a = f_eigenspace_lv(c, rs, rng)
+    # rows of a form a k-basis of E(k); the restricted form is over k
+    G_E = _restricted_gram(a, norm_form)
+    C = _normal_coords(G_E, norm_form)
+    if C @ G_E @ C.transpose() != M0:
+        raise VerificationError(
+            "normal eigenbasis Gram differs from the reference; "
+            "determinant classes forbid this for SO input"
+            if form.kind == "orthogonal" else "symplectic Gram mismatch")
+    B = C.embed(rs) @ a
     if form.kind == "orthogonal":
-        if not Gd == M0:
-            raise VerificationError(
-                "normal eigenbasis Gram differs from the reference; "
-                "determinant classes forbid this for SO input")
-        vol = B.det()
-        volsq = vol * vol
-        if volsq != B.level.one:
+        one = a.level.one
+        vol = embed(C.det(), rs) * det_a
+        if vol * vol != one:
             raise VerificationError("vol^2 != 1 in SO")
-        if vol != B.level.one:
+        if vol != one:
             half = (d - 1) // 2 if d % 2 else d // 2
             if M0 == canonical_gram(level1, "orthogonal", d, "split"):
                 B.planes[:, [0, d - 1], :] = B.planes[:, [d - 1, 0], :]
             else:
                 B.planes[:, half, :] = (-B.planes[:, half, :]) % level1.p
-    else:
-        if Gd != M0:
-            raise VerificationError("symplectic Gram mismatch")
-    a_norm = B
-    a = Pinv.embed(rs) @ a_norm @ P.embed(rs)
-    return verify(instance, a, strict=True)
+    if P is not None:
+        B = Pinv.embed(rs) @ B @ P.embed(rs)
+    return verify(instance, B, strict=True)
 
 
 def solve_torus(instance, rng):
@@ -543,27 +550,38 @@ def normal_basis(rows, form):
     """A basis of the row space whose Gram matrix is bit-exactly one of the
     canonical matrices.  The construction is rational over the base field:
     all quadratic equations are solved in k and only k-linear combinations
-    of the input rows are taken."""
-    level1 = form.gram.level
-    amb = rows.level
-    gram = form.gram.embed(amb.r)
+    of the input rows are taken, so it runs on their coordinates over k
+    against the restricted Gram matrix."""
+    C = _normal_coords(_restricted_gram(rows, form), form)
+    return (C.embed(rows.level.r) @ rows).rows()
 
+
+def _restricted_gram(rows, form):
+    """The Gram matrix of the form on the rows, over k: the rows span the
+    k-points of a space the form is defined on over k."""
+    G = rows @ form.gram.embed(rows.level.r) @ rows.transpose()
+    if rows.level.r == 1:
+        return G
+    low = _descend(G, form.gram.level)
+    if low is None:
+        raise VerificationError("restricted Gram not over the base field")
+    return low
+
+
+def _normal_coords(G, form):
+    """C over k with C G C^T canonical, for a nondegenerate Gram matrix G
+    over k of the form's kind: the Witt recursion on the coordinate rows
+    of the standard basis, where every pairing is a block of U G V^T."""
     def gram_of(U, V):
-        """The pairings of the rows of U with the rows of V, over k."""
-        block = U @ gram @ V.transpose()
-        if amb.r == 1:
-            return block
-        low = _descend(block, level1)
-        if low is None:
-            raise VerificationError("pairing value not in the base field")
-        return low
+        """The pairings of the rows of U with the rows of V."""
+        return U @ G @ V.transpose()
 
-    def emb(x):
-        return embed(x, amb.r)
-
+    rows = Mat.identity(G.level, G.nrows)
     if form.kind == "symplectic":
-        return _symplectic_normal_basis(rows, gram_of, emb)
-    return _orthogonal_normal_basis(rows, gram_of, emb, level1, form.delta)
+        out = _symplectic_normal_basis(rows, gram_of)
+    else:
+        out = _orthogonal_normal_basis(rows, gram_of, form.delta)
+    return Mat.vstack(out)
 
 
 def _pair(gram_of, u, v):
@@ -578,11 +596,10 @@ def _first_nonzero(block, start=0):
 
 def _perp_in(rows, gram_of, spans):
     """Rows of the subspace orthogonal to the given vectors."""
-    ker = gram_of(rows, Mat.vstack(spans)).left_kernel()
-    return ker.embed(rows.level.r) @ rows
+    return gram_of(rows, Mat.vstack(spans)).left_kernel() @ rows
 
 
-def _symplectic_normal_basis(rows, gram_of, emb):
+def _symplectic_normal_basis(rows, gram_of):
     d = rows.nrows
     if d == 0:
         return []
@@ -593,11 +610,11 @@ def _symplectic_normal_basis(rows, gram_of, emb):
     i = _first_nonzero(pairs, 1)
     if i is None:
         raise InputError("degenerate symplectic form")
-    v = rows.row(i) * emb(pairs.entry(0, i).inverse())
+    v = rows.row(i) * pairs.entry(0, i).inverse()
     rest = _perp_in(rows, gram_of, [u, v])
     if rest.nrows != d - 2:
         raise VerificationError("complement has the wrong dimension")
-    inner = _symplectic_normal_basis(rest, gram_of, emb) if d > 2 else []
+    inner = _symplectic_normal_basis(rest, gram_of) if d > 2 else []
     half_inner = len(inner) // 2
     xs = [u] + inner[:half_inner]
     ys = inner[half_inner:] + [v]
@@ -623,7 +640,7 @@ def _find_anisotropic(rows, G):
     return rows.row(i) + rows.row(j)
 
 
-def _find_isotropic(rows, gram_of, emb):
+def _find_isotropic(rows, gram_of):
     """A nonzero isotropic vector, or None for anisotropic spaces."""
     d = rows.nrows
     G = gram_of(rows, rows)
@@ -644,7 +661,7 @@ def _find_isotropic(rows, gram_of, emb):
         root = sqrt(-vv / uu)
         if root is None:
             return None
-        return u * emb(root) + v
+        return u * root + v
     w_rows = _perp_in(rows, gram_of, [u, v])
     w = _find_anisotropic(w_rows, gram_of(w_rows, w_rows))
     if w is None:
@@ -656,10 +673,10 @@ def _find_isotropic(rows, gram_of, emb):
     if sol is None:
         raise VerificationError("isotropic vector equation unsolved")
     a, b = sol
-    return u * emb(a) + v * emb(b) + w
+    return u * a + v * b + w
 
 
-def _orthogonal_normal_basis(rows, gram_of, emb, level1, delta):
+def _orthogonal_normal_basis(rows, gram_of, delta):
     d = rows.nrows
     if d == 0:
         return []
@@ -673,8 +690,8 @@ def _orthogonal_normal_basis(rows, gram_of, emb, level1, delta):
             a = sqrt(uu / delta)
             if a is None:
                 raise VerificationError("anisotropic line has no unit vector")
-        return [u * emb(a.inverse())]
-    x = _find_isotropic(rows, gram_of, emb)
+        return [u * a.inverse()]
+    x = _find_isotropic(rows, gram_of)
     if x is None:
         # anisotropic: only possible for d <= 2
         if d != 2:
@@ -684,19 +701,19 @@ def _orthogonal_normal_basis(rows, gram_of, emb, level1, delta):
         rest = _perp_in(rows, gram_of, [u])
         v = rest.row(0)
         vv = _pair(gram_of, v, v)
-        sol = solve_diag_quadratic(uu, vv, level1.one)
+        sol = solve_diag_quadratic(uu, vv, rows.level.one)
         if sol is None:
             raise VerificationError("anisotropic plane does not represent 1")
         a, b = sol
-        x1 = u * emb(a) + v * emb(b)
+        x1 = u * a + v * b
         # y0 = (v,v)b u - (u,u)a v is orthogonal to x1 with norm
         # (u,u)(v,v); anisotropy makes (u,u)(v,v)/(-delta) a square, so y0
         # rescales to norm exactly -delta
-        y0 = u * emb(vv * b) - v * emb(uu * a)
+        y0 = u * (vv * b) - v * (uu * a)
         t = sqrt(uu * vv / (-delta))
         if t is None:
             raise VerificationError("plane is not anisotropic after all")
-        y1 = y0 * emb(t.inverse())
+        y1 = y0 * t.inverse()
         if _pair(gram_of, y1, y1) != -delta or _pair(gram_of, x1, y1):
             raise VerificationError("anisotropic plane basis not normal")
         return [x1, y1]
@@ -705,11 +722,11 @@ def _orthogonal_normal_basis(rows, gram_of, emb, level1, delta):
     i = _first_nonzero(pairs)
     if i is None:
         raise VerificationError("degenerate form detected mid-recursion")
-    y = rows.row(i) * emb(pairs.entry(0, i).inverse())
+    y = rows.row(i) * pairs.entry(0, i).inverse()
     yy = _pair(gram_of, y, y)
     if yy:
-        two_inv = (level1.one + level1.one).inverse()
-        y = y - x * emb(yy * two_inv)
+        two_inv = (rows.level.one + rows.level.one).inverse()
+        y = y - x * (yy * two_inv)
         if _pair(gram_of, y, y):
             raise VerificationError("hyperbolic partner not isotropic")
     if d == 2:
@@ -717,7 +734,7 @@ def _orthogonal_normal_basis(rows, gram_of, emb, level1, delta):
     rest = _perp_in(rows, gram_of, [x, y])
     if rest.nrows != d - 2:
         raise VerificationError("complement has the wrong dimension")
-    inner = _orthogonal_normal_basis(rest, gram_of, emb, level1, delta)
+    inner = _orthogonal_normal_basis(rest, gram_of, delta)
     return [x] + inner + [y]
 
 
@@ -737,31 +754,27 @@ def verify(instance, a, strict=False):
     level = amat.level
     rs = instance.rs
     ok = True
-    inv = amat.try_inverse()
-    checks["invertible"] = inv is not None
-    if inv is None:
+    # for invertible a, a^(-F) a = c is a = F(a) c: one det decides
+    # invertibility and det = 1, and no inverse is taken
+    det = amat.det()
+    checks["invertible"] = bool(det)
+    if not det:
         ok = False
     else:
-        c_emb = _cmat(instance).embed(level.r)
-        lhs = inv.frobenius(1) @ amat
-        eq = lhs == c_emb
+        rhs = amat.frobenius(1) @ _cmat(instance).embed(level.r)
+        eq = amat == rhs
         checks["lang_equation"] = eq
         if not eq:
             ok = False
-            for i in range(amat.nrows):
-                for j in range(amat.ncols):
-                    if lhs.entry(i, j) != c_emb.entry(i, j):
-                        checks["first_bad_entry"] = [i, j]
-                        break
-                if "first_bad_entry" in checks:
-                    break
+            bad = np.argwhere((amat.planes != rhs.planes).any(axis=0))
+            checks["first_bad_entry"] = [int(x) for x in bad[0]]
         mfd = min_field_degree(tower, amat)
         checks["min_field_degree"] = {"expected": rs, "found": mfd,
                                       "ok": mfd == rs}
         if mfd != rs:
             ok = False
         if kind in ("SL", "SO"):
-            checks["det_one"] = amat.det() == level.one
+            checks["det_one"] = det == level.one
             ok = ok and checks["det_one"]
         if kind in ("Sp", "SO"):
             G = instance.form.gram.embed(level.r)

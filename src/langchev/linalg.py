@@ -1069,22 +1069,40 @@ def _coefficient_level(f):
     return f if low is None else PolyFq(low.level, low.planes[:, 0, :])
 
 
-def matrix_order(M, cap=10 ** 6, rng=None):
+def matrix_order(M, cap=10 ** 6, rng=None, multiple=None):
     """Least t >= 1 with M^t = I.
 
     Factors the characteristic polynomial over level 1 when its
     coefficients lie there (`_coefficient_level`), else over the carrier,
     to bound the order: a factor of degree k over GF(q') has its roots in
-    GF(q'^k), and multiplicities do not depend on the level.  Factors the
-    bound and finds the order's part at each of its primes by divide and
-    conquer (`_order_from_multiple`), which also checks that M^bound = I;
-    when the integer factorizations resist the budget, falls back to plain
-    iteration up to ``cap``.
+    GF(q'^k), and multiplicities do not depend on the level.  A known
+    multiple of the order, such as q - 1 for an element of k^*, replaces
+    that bound.  Factors the bound and finds the order's part at each of
+    its primes by divide and conquer (`_order_from_multiple`), which also
+    checks that M^bound = I; when the integer factorizations resist the
+    budget, falls back to plain iteration up to ``cap``.
     """
     import random as _random
     rng = rng or _random.Random(0)
     n = M.nrows
     ident = Mat.identity(M.level, n)
+    bound = multiple if multiple is not None else _charpoly_bound(M, rng)
+    primes = _factor_int(bound, rng)
+    if primes is None:
+        # honest fallback: step through powers
+        acc = M
+        for t in range(1, cap + 1):
+            if acc == ident:
+                return t
+            acc = acc @ M
+        raise BudgetExhausted(f"matrix order exceeds cap {cap}")
+    return _order_from_multiple(M, list(primes.items()), ident)
+
+
+def _charpoly_bound(M, rng):
+    """A multiple of the order of M from its characteristic polynomial:
+    lcm(q'^deg(f) - 1) over its irreducible factors f, times the least
+    power of p at least their largest multiplicity."""
     cp = M.charpoly()
     # cp(0) = (-1)^n det M
     if not cp.planes[:, 0].any():
@@ -1102,17 +1120,7 @@ def matrix_order(M, cap=10 ** 6, rng=None):
     ppart = 1
     while ppart < max_mult:
         ppart *= M.level.p
-    bound *= ppart
-    primes = _factor_int(bound, rng)
-    if primes is None:
-        # honest fallback: step through powers
-        acc = M
-        for t in range(1, cap + 1):
-            if acc == ident:
-                return t
-            acc = acc @ M
-        raise BudgetExhausted(f"matrix order exceeds cap {cap}")
-    return _order_from_multiple(M, list(primes.items()), ident)
+    return bound * ppart
 
 
 def _order_from_multiple(A, items, ident):

@@ -71,6 +71,26 @@ def test_malformed_json_is_an_input_error(argv, capsys):
     assert len(err) == 1 and err[0].startswith("input error: ")
 
 
+@pytest.mark.parametrize("key", ["p", "e", "r", "s"])
+@pytest.mark.parametrize("value", ['"x"', "true", "5.0", "[5]"])
+def test_instance_field_must_be_a_json_integer(key, value, capsys):
+    spec = '{"group": "GL", "p": 5, "c": [[2]], "%s": %s}' % (key, value)
+    code, out = run(["lang", "--instance", spec])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == ""
+    assert err == [f"input error: instance {key} must be a JSON integer, "
+                   f"not {json.loads(value)!r}"]
+
+
+@pytest.mark.parametrize("flag", ["--r", "--s"])
+def test_lang_degree_flags_must_be_integers(flag, capsys):
+    code, out = run(_GL5 + ["[[2]]", flag, "x"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == ""
+    assert err == [f"input error: {flag} must be an integer or auto, "
+                   f"not 'x'"]
+
+
 def test_lang_singular_c():
     code, _ = run(["lang", "--group", "GL", "--p", "3", "--c",
                    "[[1,1],[1,1]]"])

@@ -417,6 +417,71 @@ def test_verify_catches_bad_entry():
         or not cert2.checks["min_field_degree"]["ok"]
 
 
+def test_verify_checks_a_equals_its_frobenius_times_c():
+    # for invertible a, a^(-F) a = c exactly when a = F(a) c; the first bad
+    # entry is the first (i, j), row by row, where a and F(a) c differ
+    t = tower(5)
+    rng = random.Random(37)
+    inst = random_instance(t, "SO", 3, 2, rng)
+    lvl = t.level(t.extend(inst.rs))
+    c = inst.c.embed(inst.rs)
+    good = solve(inst, rng).a
+    singular = good.copy()
+    singular.planes[:, 1, :] = singular.planes[:, 0, :]
+    cert = verify(inst, singular)
+    assert not cert.ok and cert.checks == {"invertible": False}
+    for a in [good] + [Mat.random(lvl, 3, 3, rng) for _ in range(20)]:
+        inv = a.try_inverse()
+        if inv is None:
+            continue
+        cert = verify(inst, a)
+        want = inv.frobenius(1) @ a == c
+        assert cert.checks["invertible"]
+        assert cert.checks["lang_equation"] == want
+        rhs = a.frobenius(1) @ c
+        bad = [[i, j] for i in range(3) for j in range(3)
+               if a.entry(i, j) != rhs.entry(i, j)]
+        assert cert.checks.get("first_bad_entry") == (bad[0] if bad
+                                                       else None)
+        assert cert.checks["det_one"] == (a.det() == lvl.one)
+
+
+def test_torus_component_orders_divide_q_minus_one(monkeypatch):
+    # N_(r_i)(c_i) lies in k^*, so its order comes from the factors of
+    # q - 1, with no characteristic polynomial: against brute force
+    def no_charpoly(self):
+        raise AssertionError("charpoly called")
+
+    rng = random.Random(41)
+    monkeypatch.setattr(Mat, "charpoly", no_charpoly)
+    for p, e in [(5, 1), (7, 1), (3, 2)]:
+        t = tower(p, e)
+        q = t.level(1).order
+        lvl = t.level(t.extend(2))
+        for _ in range(8):
+            c = [lvl.element(rng.randrange(1, lvl.order)) for _ in range(2)]
+            inst = LangInstance(kind="Torus", tower=t, c=c)
+            for x, ri, si in inst.components:
+                N = x.entry(0, 0) ** ((q ** ri - 1) // (q - 1))
+                assert N.frobenius(1) == N
+                orders = [n for n in range(1, q) if N ** n == N.level.one]
+                assert si == orders[0] and (q - 1) % si == 0
+            assert solve(inst, rng).ok
+
+
+def test_torus_order_bound_missing_a_prime_raises(monkeypatch):
+    # 2 has order 4 in GF(5)^*: the bound q - 1 = 4 without its 2s misses
+    from langchev import linalg
+    factor_int = linalg._factor_int
+    monkeypatch.setattr(linalg, "_factor_int",
+                        lambda n, rng: {ell: v for ell, v in
+                                        factor_int(n, rng).items()
+                                        if ell != 2})
+    t = tower(5)
+    with pytest.raises(AssertionError, match="order bound violated"):
+        LangInstance(kind="Torus", tower=t, c=[t.level(1).scalar(2)])
+
+
 def test_verify_fiber_invariance():
     # left multiplication by an F-fixed group element stays in the fiber
     t = tower(5)
@@ -582,53 +647,96 @@ def test_find_anisotropic_scans_as_the_pairing_loop():
                 assert lang._find_anisotropic(rows, G) == loop(rows, gram)
 
 
+def _form_preserving_basis(t, form, rs, rng):
+    """U g with U invertible over k and g in the form's group over k_rs:
+    rows over k_rs whose Gram matrix U (g M g^T) U^T = U M U^T is over k."""
+    kind = "Sp" if form.kind == "symplectic" else "SO"
+    d = form.gram.nrows
+    g = lang.random_group_element(t, kind, d, rs, rng, form=form)
+    while True:
+        U = Mat.random(t.level(1), d, d, rng)
+        if U.try_inverse() is not None:
+            return U.embed(rs) @ g
+
+
 @pytest.mark.parametrize("p, e", [(5, 1), (7, 1), (3, 2)])
 def test_gram_blocks_match_the_pairing_at_a_time_reference(monkeypatch, p,
                                                            e):
+    # the Witt recursion runs on coordinates over k; lifted through the
+    # basis it normalizes, each normal basis and each complement it takes
+    # is the one the level-rs reference builds a pairing at a time
     t = tower(p, e)
     lvl = t.level(1)
     rng = random.Random(1400 + 10 * p + e)
-    calls, perps = [], []
-    real_normal_basis, real_perp_in = lang.normal_basis, lang._perp_in
+    calls, perps, bases = [], [], []
+    real_lv, real_coords = lang.f_eigenspace_lv, lang._normal_coords
+    real_perp_in = lang._perp_in
 
-    def spy_normal_basis(rows, form):
-        out = real_normal_basis(rows, form)
-        calls.append((rows, form, out))
-        return out
+    def spy_lv(c, rs, rng):
+        a, det_a = real_lv(c, rs, rng)
+        bases.append((a, det_a))
+        return a, det_a
+
+    def spy_coords(G, form):
+        perps.clear()
+        C = real_coords(G, form)
+        rows, det_a = bases.pop() if bases else (Mat.identity(lvl, G.nrows),
+                                                 None)
+        calls.append((rows, det_a, form, C, list(perps)))
+        return C
 
     def spy_perp_in(rows, gram_of, spans):
         out = real_perp_in(rows, gram_of, spans)
         perps.append((rows, spans, out))
         return out
 
-    monkeypatch.setattr(lang, "normal_basis", spy_normal_basis)
+    monkeypatch.setattr(lang, "f_eigenspace_lv", spy_lv)
+    monkeypatch.setattr(lang, "_normal_coords", spy_coords)
     monkeypatch.setattr(lang, "_perp_in", spy_perp_in)
-    # the bases the seeded Sp and SO solves normalize, at levels 1 and rs
+    # the eigenbases of seeded Sp and SO solves, on canonical forms and on
+    # random ones (P != I), and the normalizations of those forms
+    changes_of_basis = 0
     for kind, d in [("Sp", 2), ("Sp", 4), ("SO", 3), ("SO", 4), ("SO", 5)]:
-        inst = None
-        while inst is None:
-            inst = random_instance(t, kind, d, 2, rng, max_rs=4)
-        assert solve(inst, rng).ok
-    # random forms on random bases over k
-    for kind, d in [("symplectic", 4), ("orthogonal", 2),
-                    ("orthogonal", 3), ("orthogonal", 6)]:
-        form = _random_form(lvl, kind, d, rng)
-        while True:
-            rows = Mat.random(lvl, d, d, rng)
-            if rows.try_inverse() is not None:
-                break
-        spy_normal_basis(rows, form)
-    assert {rows.level.r for rows, _, _ in calls} == {1, 2}
-    assert perps
-    for rows, form, out in calls:
-        perps.clear()
+        fk = "symplectic" if kind == "Sp" else "orthogonal"
+        for form in (None, _random_form(lvl, fk, d, rng)):
+            inst = None
+            while inst is None:
+                inst = random_instance(t, kind, d, 2, rng, form=form,
+                                       max_rs=4)
+            assert solve(inst, rng).ok
+            # P = I exactly when the given Gram matrix is canonical
+            P = inst.form.normalized[0]
+            assert (P is None) == lang._is_canonical_gram(lvl, fk,
+                                                          inst.form.gram)
+            changes_of_basis += P is not None
+    assert changes_of_basis
+    # canonical and random forms on bases over k_rs, rs = 1 .. 4
+    for rs in (1, 2, 3, 4):
+        for kind, d in [("symplectic", 4), ("orthogonal", 2),
+                        ("orthogonal", 3), ("orthogonal", 6)]:
+            for form in (BilinearFormFq(kind, canonical_gram(lvl, kind, d)),
+                         _random_form(lvl, kind, d, rng)):
+                rows = _form_preserving_basis(t, form, rs, rng)
+                bases.append((rows, None))
+                out = normal_basis(rows, form)
+                assert Mat.vstack(out) == calls[-1][3].embed(rs) @ rows
+    assert {rows.level.r for rows, *_ in calls} == {1, 2, 3, 4}
+    assert any(det_a is not None for _, det_a, *_ in calls)
+    for rows, det_a, form, C, coords_perps in calls:
+        r = rows.level.r
         want, pair, perp = _reference_normal_basis(rows, form)
-        assert len(out) == len(want)
-        assert all(a == b for a, b in zip(out, want))
-        # every complement it takes equals the one built entry by entry
-        real_normal_basis(rows, form)
-        for sub, spans, got in perps:
-            assert got == perp(sub, spans)
+        B = C.embed(r) @ rows
+        assert B.rows() == want
+        # SO solves take the volume det B as det C det a
+        if det_a is not None and form.kind == "orthogonal":
+            assert B.det() == ff.embed(C.det(), r) * det_a
+        # every complement, lifted, is the one built entry by entry
+        def lift(X):
+            return X.embed(r) @ rows
+
+        for sub, spans, got in coords_perps:
+            assert lift(got) == perp(lift(sub), [lift(w) for w in spans])
+    assert sum(len(call[-1]) for call in calls) > len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +799,6 @@ def test_instance_and_eigenspace_run_no_inverse(monkeypatch):
         calls.append(self)
         return det(self)
 
-    try_inverse = Mat.try_inverse
     monkeypatch.setattr(Mat, "try_inverse", no_inverse)
     monkeypatch.setattr(Mat, "det", counted_det)
     for kind, inst0 in cases:
@@ -700,13 +807,16 @@ def test_instance_and_eigenspace_run_no_inverse(monkeypatch):
         assert len(calls) == 1 and calls[0] is inst0.c
         f_eigenspace_lv(inst.c, inst.rs, random.Random(5))
 
-    # a solve validates nothing again: it builds no instance, and beyond
-    # one determinant per eigenspace draw it takes only verify's det = 1
-    # (SL, SO), the eigenbasis volume (SO) and, in the first solve on a
-    # form, the normalized form's nondegeneracy (Sp, SO)
-    monkeypatch.setattr(Mat, "try_inverse", try_inverse)
-    built, draws = [], []
+    # a solve validates nothing again and, on these canonical forms, takes
+    # no inverse: it builds no instance, and beyond one determinant per
+    # eigenspace draw it takes verify's one det at k_rs (invertibility, and
+    # det = 1 for SL and SO) and, for SO, det C of the normal coordinates
+    # over k, whose product with the accumulate's det is the eigenbasis
+    # volume.  The Witt recursion runs over k: a form solve descends one
+    # matrix, the restricted Gram, and takes every complement at level 1
+    built, draws, descents, perps = [], [], [], []
     post_init, rand = LangInstance.__post_init__, Mat.random
+    descend, perp_in = lang._descend, lang._perp_in
 
     def counted_post_init(self):
         built.append(self)
@@ -716,16 +826,33 @@ def test_instance_and_eigenspace_run_no_inverse(monkeypatch):
         draws.append(args)
         return rand(*args)
 
+    def counted_descend(rows, level):
+        descents.append(rows.level.r)
+        return descend(rows, level)
+
+    def leveled_perp_in(rows, gram_of, spans):
+        perps.append(rows.level.r)
+        return perp_in(rows, gram_of, spans)
+
     cases.append(("Torus", random_instance(t, "Torus", 2, 2,
                                            random.Random(6))))
     monkeypatch.setattr(LangInstance, "__post_init__", counted_post_init)
     monkeypatch.setattr(Mat, "random", counted_random)
+    monkeypatch.setattr(lang, "_descend", counted_descend)
+    monkeypatch.setattr(lang, "_perp_in", leveled_perp_in)
     dets = {}
     for kind, inst in cases:
+        assert inst.rs > 1
         for seed in (5, 6):
-            del calls[:], built[:], draws[:]
+            del calls[:], built[:], draws[:], descents[:], perps[:]
             assert solve(inst, random.Random(seed)).ok
             assert built == [] and draws
-            dets.setdefault(kind, []).append(len(calls) - len(draws))
-    assert dets == {"GL": [0, 0], "SL": [1, 1], "Sp": [1, 0], "SO": [3, 2],
-                    "Torus": [0, 0]}
+            # the draws' dets come first, one each
+            dets.setdefault(kind, []).append(
+                ["rs" if M.level.r == inst.rs else M.level.r
+                 for M in calls[len(draws):]])
+            assert descents == ([inst.rs] if kind in ("Sp", "SO") else [])
+            assert set(perps) == ({1} if kind in ("Sp", "SO") else set())
+    assert dets == {"GL": [["rs"]] * 2, "SL": [["rs"]] * 2,
+                    "Sp": [["rs"]] * 2, "SO": [[1, "rs"]] * 2,
+                    "Torus": [["rs"]] * 2}
