@@ -120,8 +120,9 @@ def cmd_lang(args):
         form_data = _load_json_arg(args.form) if args.form else None
     if group is None or p is None or c_data is None:
         raise InputError("need a group kind, p, and c")
+    components = lang.group_kind(group, "group kind").components
     probe = _json_of(c_data, list, "c")[0]
-    if group != "Torus":
+    if not components:
         probe = _json_of(probe, list, "c row")[0]
     tower = ff.make_tower(p, e)
     if r is None:
@@ -139,12 +140,9 @@ def cmd_lang(args):
         gram = _parse_matrix(tower.level(1), form_data.get("gram"),
                              "form gram")
         form = lang.BilinearFormFq(form_data.get("kind"), gram)
-    if group == "Torus":
-        c = [_parse_entry(level, v) for v in c_data]
-        size = len(c)
-    else:
-        c = _parse_matrix(level, c_data, "c")
-        size = c.nrows
+    c = [_parse_entry(level, v) for v in c_data] if components \
+        else _parse_matrix(level, c_data, "c")
+    size = len(c) if components else c.nrows
     if args.d is not None and args.d != size:
         raise InputError(f"--d {args.d}, but c has size {size}")
     inst = lang.LangInstance(kind=group, tower=tower, c=c, r=r, s=s,
@@ -286,7 +284,7 @@ def _build_parser():
     lp = sub.add_parser("lang", help="solve a^(-F) a = c",
                         parents=[common])
     lp.add_argument("--instance", help="instance JSON (inline or file)")
-    lp.add_argument("--group", choices=("GL", "SL", "Sp", "SO", "Torus"))
+    lp.add_argument("--group", choices=tuple(lang.GROUP_KINDS))
     lp.add_argument("--p", type=int)
     lp.add_argument("--e", type=int, default=1)
     lp.add_argument("--d", type=int,

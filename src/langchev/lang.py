@@ -4,14 +4,14 @@ Sp, SO and split tori over finite fields, with exact verification.
 The minimum field degree r of c and the order s of the norm element
 c^(F^(r-1)) ... c^F c determine the level k_rs where a solution lives; the
 returned element always has minimum field degree exactly rs.  A
-`LangInstance` validates c once; the solvers run the F-eigenspace on it at
-k_rs (a torus, per component at its own level) and build no further
-instances.  Two F-eigenspace routines are provided: a deterministic one
-over the prime field, and the randomized summation method whose accumulate
-is itself the GL solution (the telescoping identity a^F c = a is checked on
-every success) and whose determinant scales the SL solution.  Sp and SO
-solutions come from that eigenbasis normalized for the form: the Witt
-recursion runs over k, on coordinates against the eigenbasis's Gram matrix.
+`LangInstance` validates c once.  Two F-eigenspace routines are provided:
+a deterministic one over the prime field, and the randomized summation
+method whose accumulate is itself the GL solution (the telescoping identity
+a^F c = a is checked on every success).  `GROUP_KINDS` holds what each
+group kind adds: every solve is that accumulate at k_rs (a torus, per
+component at its own level), the kind's normaliser (SL scales by the
+volume; Sp and SO take Witt coordinates over k against the eigenbasis's
+Gram matrix) and `verify`.
 
 Everything returns verified certificates; verification is exact, entrywise,
 reports the first failing relation on bad input, and is the one det = 1
@@ -29,14 +29,15 @@ import numpy as np
 from .errors import BudgetExhausted, InputError, VerificationError
 from .ff import FqElement, _mult_matrix, _poly_mul_reduce, embed, \
     fixed_nonsquare, sqrt, solve_diag_quadratic
-from .linalg import Mat, _descend, matrix_order
+from .linalg import Mat, _descend, fixed_space, matrix_order
 
 __all__ = [
-    "BilinearFormFq", "LangInstance", "LangCertificate",
-    "min_field_degree", "norm_and_order", "f_eigenspace_det",
-    "f_eigenspace_lv", "solve_gl", "solve_sl", "solve_sp", "solve_so",
-    "solve_torus", "solve", "verify", "volume", "normal_basis",
-    "canonical_gram", "random_instance", "random_group_element",
+    "BilinearFormFq", "LangInstance", "LangCertificate", "GroupKind",
+    "GROUP_KINDS", "group_kind", "min_field_degree", "norm_and_order",
+    "f_eigenspace_det", "f_eigenspace_lv", "solve_gl", "solve_sl",
+    "solve_sp", "solve_so", "solve_torus", "solve", "verify",
+    "normal_basis", "canonical_gram", "random_instance",
+    "random_group_element",
 ]
 
 _LV_RETRY_CAP = 64
@@ -74,17 +75,13 @@ def canonical_gram(level, kind, d, variant="split"):
         return _antidiag(level, d)
     delta = fixed_nonsquare(level)
     M = Mat.zeros(level, d, d)
+    half = (d - 1) // 2 if d % 2 else d // 2 - 1
+    for i in range(half):
+        M.planes[:, i, d - 1 - i] = level.one.coeffs
+        M.planes[:, d - 1 - i, i] = level.one.coeffs
     if d % 2:
-        half = (d - 1) // 2
-        for i in range(half):
-            M.planes[:, i, d - 1 - i] = level.one.coeffs
-            M.planes[:, d - 1 - i, i] = level.one.coeffs
         M.planes[:, half, half] = delta.coeffs
     else:
-        half = d // 2 - 1
-        for i in range(half):
-            M.planes[:, i, d - 1 - i] = level.one.coeffs
-            M.planes[:, d - 1 - i, i] = level.one.coeffs
         M.planes[:, half, half] = level.one.coeffs
         M.planes[:, half + 1, half + 1] = (-delta).coeffs
     return M
@@ -113,21 +110,15 @@ class BilinearFormFq:
             raise InputError(f"unknown form kind {self.kind!r}")
         Mt = self.gram.transpose()
         if self.kind == "symplectic":
+            # in odd characteristic, M^T = -M puts zeros on the diagonal
             if not (self.gram + Mt).is_zero():
                 raise InputError("symplectic Gram must be alternating")
-            for i in range(self.gram.nrows):
-                if self.gram.entry(i, i):
-                    raise InputError("symplectic Gram must be alternating")
-        else:
-            if not self.gram == Mt:
-                raise InputError("orthogonal Gram must be symmetric")
+        elif not self.gram == Mt:
+            raise InputError("orthogonal Gram must be symmetric")
         if not self.gram.det():
             raise InputError("form is degenerate")
         if self.delta is None:
             self.delta = fixed_nonsquare(level)
-
-    def pair(self, u, v):
-        return (u @ self.gram @ v.transpose()).entry(0, 0)
 
     @functools.cached_property
     def normalized(self):
@@ -166,9 +157,16 @@ class LangInstance:
 
     def __post_init__(self):
         kind, tower = self.kind, self.tower
-        if kind not in ("GL", "SL", "Sp", "SO", "Torus"):
-            raise InputError(f"unknown group kind {self.kind!r}")
-        if kind == "Torus":
+        group = group_kind(kind, "group kind")
+        if self.form is not None and self.form.kind != group.form_kind:
+            raise InputError(
+                f"{kind} takes no form" if group.form_kind is None else
+                f"{kind} needs a form of kind {group.form_kind!r}, not "
+                f"{self.form.kind!r}")
+        for name, value in (("r", self.r), ("s", self.s)):
+            if value is not None and value < 1:
+                raise InputError(f"claimed {name} = {value} must be >= 1")
+        if group.components:
             if not isinstance(self.c, (list, tuple)) or not self.c:
                 raise InputError("torus instance needs a component list")
             if any(not x for x in self.c):
@@ -192,7 +190,7 @@ class LangInstance:
             raise InputError(
                 f"claimed r = {self.r} but the minimum field degree is "
                 f"{r_true}")
-        if kind == "Torus":
+        if group.components:
             # a claimed torus s is always compared: the solve needs the s_i
             lows = [_at_level(tower, x, ri) for x, ri in zip(ones, degrees)]
             self.components = [
@@ -206,21 +204,15 @@ class LangInstance:
             if cmat.level.r != r_true:
                 # normalize the carrier to the minimal level
                 cmat = self.c = _at_level(tower, cmat, r_true)
-            if kind in ("Sp", "SO"):
+            if group.form_kind:
                 if self.form is None:
-                    fk = "symplectic" if kind == "Sp" else "orthogonal"
-                    self.form = BilinearFormFq(
-                        fk, canonical_gram(tower.level(1), fk, self.d))
+                    self.form = group.default_form(tower.level(1), self.d)
                 G = self.form.gram.embed(cmat.level.r)
                 if not cmat @ G @ cmat.transpose() == G:
                     raise InputError("c does not preserve the form")
-            # det was taken of c as given, before any descent; for SO,
-            # det(c) != 1 is the disconnected coset: no solution exists
-            if kind in ("SL", "SO") and det != det.level.one:
-                raise InputError(
-                    "det(c) != 1; the twisted equation has no solution "
-                    "in this group" if kind == "SO"
-                    else "SL requires det(c) = 1")
+            # det was taken of c as given, before any descent
+            if group.det_one and det != det.level.one:
+                raise InputError(group.det_one)
             s_true = None  # a trusted s skips the norm order
             if self.s is None or not self.trust_s:
                 s_true = norm_and_order(tower, cmat, self.r,
@@ -261,11 +253,9 @@ class LangCertificate:
     ok: bool
 
     def to_json(self):
-        if isinstance(self.a, Mat):
-            a_json = self.a.to_json()
-        else:
-            a_json = [x.to_json() for x in self.a]
-        return {"a": a_json,
+        a = self.a
+        return {"a": a.to_json() if isinstance(a, Mat)
+                else [x.to_json() for x in a],
                 "level": self.instance.tower.level(self.level).spec_string(),
                 "s": self.s, "checks": self.checks, "ok": self.ok}
 
@@ -274,15 +264,11 @@ class LangCertificate:
 # Minimum field degree and norms
 # ---------------------------------------------------------------------------
 
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def min_field_degree(tower, g):
     """Least r dividing the carrier level with g^(F^r) = g."""
     t = g.level.r
-    for r in _divisors(t):
-        if g.frobenius(r) == g:
+    for r in range(1, t + 1):
+        if t % r == 0 and g.frobenius(r) == g:
             return r
     raise VerificationError("F^level must fix the element")  # pragma: no cover
 
@@ -316,11 +302,8 @@ def f_eigenspace_det(instance):
     tower = instance.tower
     rs = tower.extend(instance.rs)
     level = tower.level(rs)
-    c = _cmat(instance).embed(rs)
-    d = instance.d
-    m = level.m
-    p = level.p
-    S = level.frob_q
+    c = GROUP_KINDS[instance.kind].as_matrix(instance.c).embed(rs)
+    d, m, p, S = instance.d, level.m, level.p, level.frob_q
     big = np.zeros((d * m, d * m), dtype=np.int64)
     for j in range(d):
         for j2 in range(d):
@@ -329,18 +312,12 @@ def f_eigenspace_det(instance):
                 big[j * m:(j + 1) * m, j2 * m:(j2 + 1) * m] = \
                     S @ _mult_matrix(e.coeffs, level) % p
     plevel = tower.prime_level()
-    T = Mat.from_int_rows(plevel, big % p)
-    from .linalg import fixed_space
-    fixed = fixed_space(T)
+    fixed = fixed_space(Mat.from_int_rows(plevel, big % p))
     if fixed.nrows != d * tower.e:
         raise VerificationError("eigenspace dimension mismatch")
-    vectors = []
-    for i in range(fixed.nrows):
-        coeffs = [int(fixed.planes[0, i, t]) for t in range(d * m)]
-        row = Mat.zeros(level, 1, d)
-        for j in range(d):
-            row.planes[:, 0, j] = coeffs[j * m:(j + 1) * m]
-        vectors.append(row)
+    # row i of fixed holds entry j of vector i in columns j*m .. j*m + m - 1
+    vectors = Mat(level, fixed.planes[0].reshape(-1, d, m)
+                  .transpose(2, 0, 1).copy()).rows()
     basis = _select_k_basis(tower, vectors, d)
     for v in basis.rows():
         if v.frobenius(1) @ c != v:
@@ -348,15 +325,13 @@ def f_eigenspace_det(instance):
     return basis
 
 
-def _relative_coords(tower, x, sub_r=1):
-    """Coordinates of a level element over the sub-level basis
-    (theta-powers times a base-field basis)."""
-    level = x.level
-    key = ("rel", sub_r)
-    cache = level.__dict__.setdefault("_rel_cache", {})
-    if key not in cache:
-        sub = tower.level(sub_r)
-        ratio = level.m // sub.m
+def _relative_coords(tower, x):
+    """Coordinates of a level element over k, on the basis of theta-powers
+    times a basis of k."""
+    level, sub = x.level, tower.level(1)
+    ratio = level.m // sub.m
+    inv = level.__dict__.get("_rel_inv")
+    if inv is None:
         rows = []
         theta_pow = (1,) + (0,) * (level.m - 1)
         theta = tuple(int(i == 1) for i in range(level.m))
@@ -368,14 +343,10 @@ def _relative_coords(tower, x, sub_r=1):
                 rows.append(_poly_mul_reduce(base_elt.coeffs, theta_pow,
                                              level))
             theta_pow = _poly_mul_reduce(theta_pow, theta, level)
-        mat = np.array(rows, dtype=np.int64)
-        plevel = tower.prime_level()
-        inv = Mat.from_int_rows(plevel, mat).inverse()
-        cache[key] = inv.planes[0]
-    inv = cache[key]
+        mat = Mat.from_int_rows(tower.prime_level(),
+                                np.array(rows, dtype=np.int64))
+        inv = level._rel_inv = mat.inverse().planes[0]
     sol = np.array(x.coeffs, dtype=np.int64) @ inv % level.p
-    sub = tower.level(sub_r)
-    ratio = level.m // sub.m
     return [sub.element(sol[j * sub.m:(j + 1) * sub.m])
             for j in range(ratio)]
 
@@ -386,10 +357,9 @@ def _select_k_basis(tower, vectors, want):
     chosen = []
     stacked = None
     for v in vectors:
-        krow = []
-        for j in range(v.ncols):
-            krow.extend(_relative_coords(tower, v.entry(0, j)))
-        cand = Mat.from_entries(level1, [krow])
+        cand = Mat.from_entries(level1, [[
+            x for j in range(v.ncols)
+            for x in _relative_coords(tower, v.entry(0, j))]])
         trial = cand if stacked is None else Mat.vstack([stacked, cand])
         if trial.rank() > (0 if stacked is None else stacked.nrows):
             stacked = trial.row_space()
@@ -399,12 +369,6 @@ def _select_k_basis(tower, vectors, want):
     if len(chosen) != want:
         raise VerificationError("could not extract a k-basis")
     return Mat.vstack(chosen)
-
-
-def _cmat(instance):
-    if instance.kind == "Torus":
-        return Mat.diagonal(instance.c[0].level, list(instance.c))
-    return instance.c
 
 
 def f_eigenspace_lv(c, rs, rng):
@@ -433,62 +397,40 @@ def f_eigenspace_lv(c, rs, rng):
 
 
 # ---------------------------------------------------------------------------
-# Solvers
+# Normalisers: from the eigenspace accumulates to the solution
 # ---------------------------------------------------------------------------
 
-def solve_gl(instance, rng):
-    if instance.kind != "GL":
-        raise InputError("solve_gl needs a GL instance")
-    a, _ = f_eigenspace_lv(instance.c, instance.rs, rng)
-    return verify(instance, a, strict=True)
+def _normalise_gl(instance, accumulates):
+    """The accumulate is the GL solution."""
+    return accumulates[0][0]
 
 
-def volume(B):
-    """Determinant of the matrix whose rows are the given basis."""
-    return B.det()
+def _unit_det(g, det):
+    """g, with row 0 divided by det = det g: det 1, in place."""
+    g.planes[:, 0, :] = (g.row(0) * det.inverse()).planes[:, 0, :]
+    return g
 
 
-def solve_sl(instance, rng):
-    if instance.kind != "SL":
-        raise InputError("solve_sl needs an SL instance")
-    a, vol = f_eigenspace_lv(instance.c, instance.rs, rng)
+def _normalise_sl(instance, accumulates):
+    """The accumulate scaled by its volume, which lies in k."""
+    (a, vol), = accumulates
     if vol.frobenius(1) != vol:
         raise VerificationError("volume must lie in the base field")
-    scaled = a.copy()
-    row0 = a.row(0) * vol.inverse()
-    scaled.planes[:, 0, :] = row0.planes[:, 0, :]
-    return verify(instance, scaled, strict=True)
+    return _unit_det(a, vol)
 
 
-def solve_sp(instance, rng):
-    if instance.kind != "Sp":
-        raise InputError("solve_sp needs an Sp instance")
-    return _solve_form_group(instance, rng)
-
-
-def solve_so(instance, rng):
-    if instance.kind != "SO":
-        raise InputError("solve_so needs an SO instance")
-    return _solve_form_group(instance, rng)
-
-
-def _solve_form_group(instance, rng):
-    """The eigenspace a at k_rs, then all form work over k: the Witt
-    recursion runs on coordinates against G_E = descend(a M0 a^T), so B =
-    C a for the normal coordinates C, its Gram matrix is C G_E C^T and, for
-    SO, det B = det C det a."""
-    tower = instance.tower
-    level1 = tower.level(1)
+def _normalise_form(instance, accumulates):
+    """The Witt coordinates of the eigenbasis a, taken in the basis P in
+    which the form is canonical, all over k: the recursion runs on
+    coordinates against G_E = descend(a M0 a^T), so B = C a for the normal
+    coordinates C, its Gram matrix is C G_E C^T and, for SO, det B = det C
+    det a."""
+    (a, det_a), = accumulates
     form = instance.form
-    d = instance.d
+    d, rs = instance.d, instance.rs
     # P and P^-1 live over level 1; the form in the basis P is canonical
     P, Pinv, norm_form = form.normalized
     M0 = norm_form.gram
-    c = instance.c
-    if P is not None:
-        c = P.embed(c.level.r) @ c @ Pinv.embed(c.level.r)
-    rs = tower.extend(instance.rs)
-    a, det_a = f_eigenspace_lv(c, rs, rng)
     # rows of a form a k-basis of E(k); the restricted form is over k
     G_E = _restricted_gram(a, norm_form)
     C = _normal_coords(G_E, norm_form)
@@ -504,42 +446,21 @@ def _solve_form_group(instance, rng):
         if vol * vol != one:
             raise VerificationError("vol^2 != 1 in SO")
         if vol != one:
-            half = (d - 1) // 2 if d % 2 else d // 2
-            if M0 == canonical_gram(level1, "orthogonal", d, "split"):
+            # a reflection: swap the split pair x_1, y_1, or negate the
+            # middle row d // 2, of norm delta or -delta
+            if M0 == canonical_gram(M0.level, "orthogonal", d, "split"):
                 B.planes[:, [0, d - 1], :] = B.planes[:, [d - 1, 0], :]
             else:
-                B.planes[:, half, :] = (-B.planes[:, half, :]) % level1.p
+                B.planes[:, d // 2, :] = (-B.planes[:, d // 2, :]) % B.level.p
     if P is not None:
         B = Pinv.embed(rs) @ B @ P.embed(rs)
-    return verify(instance, B, strict=True)
+    return B
 
 
-def solve_torus(instance, rng):
-    """Componentwise GL_1 solution for a split torus instance: each
-    component is solved at its own level k_(r_i s_i), which divides k_rs."""
-    if instance.kind != "Torus":
-        raise InputError("solve_torus needs a Torus instance")
-    rs = instance.tower.extend(instance.rs)
-    out = []
-    for c, r, s in instance.components:
-        a, _ = f_eigenspace_lv(c, r * s, rng)
-        out.append(a.embed(rs).entry(0, 0))
-    return verify(instance, out, strict=True)
-
-
-def solve(instance, rng):
-    """Dispatch on the instance kind."""
-    if instance.kind == "GL":
-        return solve_gl(instance, rng)
-    if instance.kind == "SL":
-        return solve_sl(instance, rng)
-    if instance.kind == "Sp":
-        return solve_sp(instance, rng)
-    if instance.kind == "SO":
-        return solve_so(instance, rng)
-    if instance.kind == "Torus":
-        return solve_torus(instance, rng)
-    raise InputError(f"unknown kind {instance.kind!r}")
+def _normalise_torus(instance, accumulates):
+    """Each component's GL_1 solution, from its own level k_(r_i s_i),
+    which divides k_rs."""
+    return [a.embed(instance.rs).entry(0, 0) for a, _ in accumulates]
 
 
 # ---------------------------------------------------------------------------
@@ -744,42 +665,30 @@ def _orthogonal_normal_basis(rows, gram_of, delta):
 
 def verify(instance, a, strict=False):
     """Exact verification; returns a certificate (ok flag, check record)."""
-    tower = instance.tower
-    checks = {}
-    kind = instance.kind
-    if kind == "Torus":
-        amat = Mat.diagonal(a[0].level, list(a))
-    else:
-        amat = a
+    group = GROUP_KINDS[instance.kind]
+    amat = group.as_matrix(a)
     level = amat.level
     rs = instance.rs
-    ok = True
     # for invertible a, a^(-F) a = c is a = F(a) c: one det decides
     # invertibility and det = 1, and no inverse is taken
     det = amat.det()
-    checks["invertible"] = bool(det)
-    if not det:
-        ok = False
-    else:
-        rhs = amat.frobenius(1) @ _cmat(instance).embed(level.r)
-        eq = amat == rhs
-        checks["lang_equation"] = eq
-        if not eq:
-            ok = False
+    checks = {"invertible": bool(det)}
+    if det:
+        rhs = amat.frobenius(1) @ group.as_matrix(instance.c).embed(level.r)
+        checks["lang_equation"] = amat == rhs
+        if not checks["lang_equation"]:
             bad = np.argwhere((amat.planes != rhs.planes).any(axis=0))
             checks["first_bad_entry"] = [int(x) for x in bad[0]]
-        mfd = min_field_degree(tower, amat)
+        mfd = min_field_degree(instance.tower, amat)
         checks["min_field_degree"] = {"expected": rs, "found": mfd,
                                       "ok": mfd == rs}
-        if mfd != rs:
-            ok = False
-        if kind in ("SL", "SO"):
+        if group.det_one:
             checks["det_one"] = det == level.one
-            ok = ok and checks["det_one"]
-        if kind in ("Sp", "SO"):
+        if group.form_kind:
             G = instance.form.gram.embed(level.r)
             checks["form_preserved"] = amat @ G @ amat.transpose() == G
-            ok = ok and checks["form_preserved"]
+    ok = bool(det) and checks["lang_equation"] and mfd == rs \
+        and checks.get("det_one", True) and checks.get("form_preserved", True)
     cert = LangCertificate(instance=instance, a=a, level=level.r,
                            s=instance.s, checks=checks, ok=ok)
     if strict and not ok:
@@ -788,70 +697,159 @@ def verify(instance, a, strict=False):
 
 
 # ---------------------------------------------------------------------------
-# Seeded instance generators (used by the test suites and the CLI demos)
+# Random elements and seeded instances (used by the test suites and the CLI
+# demos)
 # ---------------------------------------------------------------------------
+
+def _random_linear(group, level, d, rng, form):
+    """A uniform invertible matrix, scaled to det 1 when the group needs
+    it."""
+    while True:
+        g = Mat.random(level, d, d, rng)
+        det = g.det()
+        if det:
+            return _unit_det(g, det) if group.det_one else g
+
+
+def _random_isometry(group, level, d, rng, form):
+    """A Cayley transform (I - K)(I + K)^-1, K = A M^-1 for A symmetric
+    (symplectic M) or alternating (orthogonal M)."""
+    M = form.gram.embed(level.r)
+    Minv = M.inverse()
+    while True:
+        A = Mat.random(level, d, d, rng)
+        A = A + A.transpose() if group.form_kind == "symplectic" \
+            else A - A.transpose()
+        K = A @ Minv
+        I = Mat.identity(level, d)
+        IKinv = (I + K).try_inverse()
+        if IKinv is None:
+            continue
+        g = (I - K) @ IKinv
+        if g @ M @ g.transpose() != M:
+            raise VerificationError("Cayley transform leaves the form")
+        if group.det_one and g.det() != level.one:
+            raise VerificationError("Cayley transform not in SO")
+        return g
+
+
+def _random_units(group, level, d, rng, form):
+    return [level.element(rng.randrange(1, level.order)) for _ in range(d)]
+
 
 def random_group_element(tower, kind, d, level_r, rng, form=None):
     """A random element of the group over k_(level_r): uniform invertible
     for GL, volume-normalized for SL, Cayley transforms for Sp/SO."""
-    r = tower.extend(level_r)
-    level = tower.level(r)
-    if kind in ("GL", "SL"):
-        while True:
-            g = Mat.random(level, d, d, rng)
-            det = g.det()
-            if det:
-                break
-        if kind == "SL":
-            row0 = g.row(0) * det.inverse()
-            g.planes[:, 0, :] = row0.planes[:, 0, :]
-        return g
-    if kind in ("Sp", "SO"):
-        M = form.gram.embed(r)
-        Minv = M.inverse()
-        while True:
-            A = Mat.random(level, d, d, rng)
-            if kind == "SO":
-                A = A - A.transpose()          # alternating
-            else:
-                A = A + A.transpose()          # symmetric
-            K = A @ Minv
-            I = Mat.identity(level, d)
-            IKinv = (I + K).try_inverse()
-            if IKinv is None:
-                continue
-            g = (I - K) @ IKinv
-            if g @ M @ g.transpose() != M:
-                raise VerificationError("Cayley transform leaves the form")
-            if kind == "SO":
-                if g.det() != level.one:
-                    raise VerificationError("Cayley transform not in SO")
-            return g
-    if kind == "Torus":
-        return [level.element(rng.randrange(1, level.order))
-                for _ in range(d)]
-    raise InputError(f"unknown kind {kind!r}")
+    group = group_kind(kind)
+    level = tower.level(tower.extend(level_r))
+    return group.random_element(group, level, d, rng, form)
 
 
 def random_instance(tower, kind, d, target_level, rng, form=None,
                     max_rs=None, order_cap=10 ** 6):
     """c := a0^(-F) a0 for a random group element a0 at the target level,
     which guarantees solvability with rs dividing the target level."""
-    if kind in ("Sp", "SO") and form is None:
-        lvl1 = tower.level(1)
-        form = BilinearFormFq(
-            "symplectic" if kind == "Sp" else "orthogonal",
-            canonical_gram(lvl1, "symplectic" if kind == "Sp"
-                           else "orthogonal", d))
+    group = group_kind(kind)
+    if form is None:
+        form = group.default_form(tower.level(1), d)
     a0 = random_group_element(tower, kind, d, target_level, rng, form=form)
-    if kind == "Torus":
-        c = [x.frobenius(1).inverse() * x for x in a0]
-        inst = LangInstance(kind=kind, tower=tower, c=c,
-                            order_cap=order_cap)
-    else:
-        c = a0.frobenius(1).inverse() @ a0
-        inst = LangInstance(kind=kind, tower=tower, c=c, form=form,
-                            order_cap=order_cap)
+    c = [x.frobenius(1).inverse() * x for x in a0] if group.components \
+        else a0.frobenius(1).inverse() @ a0
+    inst = LangInstance(kind=kind, tower=tower, c=c, form=form,
+                        order_cap=order_cap)
     if max_rs is not None and inst.rs > max_rs:
         return None
     return inst
+
+
+# ---------------------------------------------------------------------------
+# Group kinds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GroupKind:
+    """What one group kind adds to the GL solve.  Every solve is the
+    eigenspace accumulate of the kind's carriers, its normaliser, then
+    `verify`; the other fields say what `LangInstance` and `verify` check
+    and how `random_group_element` draws."""
+    solver: str             # the public solve_<kind>, looked up by name at
+                            # call time, so that a rebinding of it runs
+    normalise: object       # (instance, [(accumulate, det)]) -> solution
+    random_element: object  # (group kind, level, d, rng, form) -> element
+    form_kind: str = None   # the kind of the form kept; None: no form
+    det_one: str = None     # the InputError for det(c) != 1; None: any det
+    components: bool = False  # c and a are lists of units: a split torus
+
+    def as_matrix(self, x):
+        """The carrier as a matrix: a component list is its diagonal."""
+        return Mat.diagonal(x[0].level, list(x)) if self.components else x
+
+    def default_form(self, level1, d):
+        """The canonical form of the kind over k, or None without one."""
+        if self.form_kind is None:
+            return None
+        return BilinearFormFq(self.form_kind,
+                              canonical_gram(level1, self.form_kind, d))
+
+    def carriers(self, instance):
+        """(matrix, n) for each eigenspace, taken at k_n, that the
+        normaliser reads: each torus component at k_(r_i s_i), else c at
+        k_rs, in the basis P in which the form is canonical."""
+        if self.components:
+            return [(c, r * s) for c, r, s in instance.components]
+        c = instance.c
+        if self.form_kind:
+            P, Pinv, _ = instance.form.normalized
+            if P is not None:
+                c = P.embed(c.level.r) @ c @ Pinv.embed(c.level.r)
+        return [(c, instance.rs)]
+
+
+def _solver(kind, message):
+    """The public solve_<kind>: eigenspace, normalise, verify."""
+    def solve_kind(instance, rng):
+        if instance.kind != kind:
+            raise InputError(message)
+        group = GROUP_KINDS[kind]
+        carriers = group.carriers(instance)
+        instance.tower.extend(instance.rs)
+        accumulates = [f_eigenspace_lv(c, n, rng) for c, n in carriers]
+        return verify(instance, group.normalise(instance, accumulates),
+                      strict=True)
+    return solve_kind
+
+
+GROUP_KINDS = {
+    "GL": GroupKind("solve_gl", _normalise_gl, _random_linear),
+    "SL": GroupKind("solve_sl", _normalise_sl, _random_linear,
+                    det_one="SL requires det(c) = 1"),
+    "Sp": GroupKind("solve_sp", _normalise_form, _random_isometry,
+                    form_kind="symplectic"),
+    # det(c) != 1 is the disconnected coset of O: no solution exists
+    "SO": GroupKind("solve_so", _normalise_form, _random_isometry,
+                    form_kind="orthogonal",
+                    det_one="det(c) != 1; the twisted equation has no "
+                            "solution in this group"),
+    "Torus": GroupKind("solve_torus", _normalise_torus, _random_units,
+                       components=True),
+}
+# `solve` reaches these through the table's solver names, at call time
+solve_gl = _solver("GL", "solve_gl needs a GL instance")
+solve_sl = _solver("SL", "solve_sl needs an SL instance")
+solve_sp = _solver("Sp", "solve_sp needs an Sp instance")
+solve_so = _solver("SO", "solve_so needs an SO instance")
+solve_torus = _solver("Torus", "solve_torus needs a Torus instance")
+
+
+def group_kind(kind, what="kind"):
+    """The table entry of a group kind; InputError for an unknown one."""
+    group = GROUP_KINDS.get(kind) if isinstance(kind, str) else None
+    if group is None:
+        raise InputError(f"unknown {what} {kind!r}")
+    return group
+
+
+def solve(instance, rng):
+    """Dispatch on the instance kind to its solve_<kind>, looked up by name
+    at call time."""
+    return globals()[group_kind(instance.kind).solver](instance, rng)

@@ -8,10 +8,12 @@ the main test suite catches such a rename.
 
 import importlib.util
 import os
+import random
+from collections import Counter
 
 import pytest
 
-from langchev import ff, linalg, rootdata
+from langchev import ff, lang, linalg, rootdata
 
 SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "spans.py")
@@ -57,3 +59,23 @@ def test_instrument_restores_every_binding():
     finally:
         restore()
     assert all(vars(o)[a] is f for (o, a, _), f in zip(spans.SPANS, before))
+
+
+def test_solve_dispatch_passes_through_each_kinds_span():
+    # lang.solve must look each solve_<kind> up when called: a table that
+    # held the function objects would bypass the wrappers
+    t = ff.make_tower(5)
+    instances = [lang.random_instance(t, kind, 2, 2, random.Random(5))
+                 for kind in lang.GROUP_KINDS]
+    tracer = spans.Tracer()
+    restore = spans.instrument(tracer)
+    try:
+        for inst in instances:
+            assert lang.solve(inst, random.Random(1)).ok
+    finally:
+        restore()
+    calls = Counter(tracer.names[i] for i in tracer.name)
+    assert {f"lang.{g.solver}": calls[f"lang.{g.solver}"]
+            for g in lang.GROUP_KINDS.values()} == {
+        "lang.solve_gl": 1, "lang.solve_sl": 1, "lang.solve_sp": 1,
+        "lang.solve_so": 1, "lang.solve_torus": 1}

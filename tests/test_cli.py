@@ -56,14 +56,15 @@ _A1_ALGEBRA = ["chevalley", "--type", "A1", "--algebra"]
     _GL5 + ["[]"], _GL5 + ["[[]]"], _GL5 + ["5"], _GL5 + ['{"a":1}'],
     ["lang", "--group", "Torus", "--p", "5", "--c", "[]"],
     ["lang", "--instance", "[1]"],
+    ["lang", "--instance", '{"group": [1], "p": 5, "c": [[2]]}'],
     ["lang", "--group", "Sp", "--p", "5", "--c", "[[1,0],[0,1]]",
      "--form", '{"kind":"symplectic"}'],
     _A1_ALGEBRA + ['{"level":"5^(1*1)"}'],
     _A1_ALGEBRA + ['{"level":"5^(1*1)","dim":3,"triples":[[0,1,3,[1]]]}'],
     _A1_ALGEBRA + ['{"level":"5^(1*1)","dim":3,"triples":[[0,1]]}'],
 ], ids=["empty", "empty-row", "scalar", "object", "torus-empty",
-        "instance-array", "form-without-gram", "algebra-without-dim",
-        "triple-past-dim", "short-triple"])
+        "instance-array", "group-array", "form-without-gram",
+        "algebra-without-dim", "triple-past-dim", "short-triple"])
 def test_malformed_json_is_an_input_error(argv, capsys):
     code, out = run(argv)
     err = capsys.readouterr().err.splitlines()
@@ -107,6 +108,35 @@ def test_lang_instance_json_form_group(tmp_path):
     code, out = run(["lang", "--instance", str(path)])
     assert code == 0
     assert json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--group", "Sp", "--p", "7", "--c", "[[1,0],[0,1]]", "--form",
+      '{"kind":"orthogonal","gram":[[0,1],[1,0]]}'],
+     "Sp needs a form of kind 'symplectic', not 'orthogonal'"),
+    (["--group", "SO", "--p", "7", "--c", "[[1,0],[0,1]]", "--form",
+      '{"kind":"symplectic","gram":[[0,1],[6,0]]}'],
+     "SO needs a form of kind 'orthogonal', not 'symplectic'"),
+    (["--group", "GL", "--p", "7", "--c", "[[1,0],[0,1]]", "--form",
+      '{"kind":"orthogonal","gram":[[0,1],[1,0]]}'], "GL takes no form"),
+    (["--group", "Torus", "--p", "7", "--c", "[1, 1]", "--form",
+      '{"kind":"symplectic","gram":[[0,1],[6,0]]}'], "Torus takes no form"),
+], ids=["Sp-orthogonal", "SO-symplectic", "GL-form", "Torus-form"])
+def test_lang_form_of_the_wrong_kind_exits_2(argv, message, capsys):
+    # the identity preserves every form: the form's kind is the only fault
+    code, out = run(["lang"] + argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.splitlines() == [
+        f"input error: {message}"]
+
+
+@pytest.mark.parametrize("trust", [["--trust-s"], []])
+def test_lang_claimed_s_below_one_is_named(trust, capsys):
+    # a trusted s = 0 used to reach the solve and fail as "r = 0"
+    code, out = run(_GL5 + ["[[2]]", "--s", "0"] + trust)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: claimed s = 0 must be >= 1"]
 
 
 def test_lang_torus():

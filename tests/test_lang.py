@@ -9,7 +9,7 @@ from langchev.lang import (
     BilinearFormFq, LangInstance, Mat, canonical_gram, f_eigenspace_det,
     f_eigenspace_lv, min_field_degree, norm_and_order, normal_basis,
     random_instance, solve, solve_gl, solve_sl, solve_so, solve_sp,
-    solve_torus, verify, volume,
+    solve_torus, verify,
 )
 
 _towers = {}
@@ -139,13 +139,6 @@ def test_solve_gl2_gf2_all_c():
         inst = LangInstance(kind="GL", tower=t, c=c)
         cert = solve_gl(inst, random.Random(3))
         assert cert.ok
-
-
-def test_volume_examples():
-    t = tower(5)
-    assert volume(Mat.identity(t.level(1), 4)) == t.level(1).one
-    M = Mat.from_int_rows(t.level(1), [[0, 1], [1, 0]])
-    assert volume(M) == -t.level(1).one
 
 
 def test_solve_sl_diag_example():
@@ -778,6 +771,59 @@ def test_det_and_form_messages_are_kept():
                        ("symplectic", [[0, 0], [0, 0]])):
         with pytest.raises(InputError, match="form is degenerate"):
             BilinearFormFq(kind, Mat.from_int_rows(lvl, gram))
+
+
+def test_form_must_be_of_the_kinds_form_kind():
+    # the identity preserves every form and has det 1, so only the form's
+    # kind can refuse these instances
+    t = tower(7)
+    lvl = t.level(1)
+    ident = Mat.identity(lvl, 2)
+    forms = {fk: BilinearFormFq(fk, canonical_gram(lvl, fk, 2))
+             for fk in ("symplectic", "orthogonal")}
+    for kind, fk in (("SO", "symplectic"), ("Sp", "orthogonal")):
+        with pytest.raises(InputError, match=f"{kind} needs a form of kind"):
+            LangInstance(kind=kind, tower=t, c=ident, form=forms[fk])
+    for kind, c in (("GL", ident), ("SL", ident),
+                    ("Torus", [lvl.one, lvl.one])):
+        for form in forms.values():
+            with pytest.raises(InputError, match=f"{kind} takes no form"):
+                LangInstance(kind=kind, tower=t, c=c, form=form)
+    for kind, fk in (("Sp", "symplectic"), ("SO", "orthogonal")):
+        inst = LangInstance(kind=kind, tower=t, c=ident, form=forms[fk])
+        assert solve(inst, random.Random(0)).ok
+
+
+@pytest.mark.parametrize("name", ["r", "s"])
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("trust_s", [False, True])
+def test_claimed_degree_below_one_is_named(name, value, trust_s):
+    t = tower(5)
+    c = Mat.diagonal(t.level(1), [2])
+    with pytest.raises(InputError,
+                       match=f"^claimed {name} = {value} must be >= 1$"):
+        LangInstance(kind="GL", tower=t, c=c, trust_s=trust_s,
+                     **{name: value})
+
+
+@pytest.mark.parametrize("p, e", [(5, 1), (7, 1), (3, 2)],
+                         ids=["q5", "q7", "q9"])
+@pytest.mark.parametrize("kind", list(lang.GROUP_KINDS))
+def test_every_table_kind_round_trips(kind, p, e):
+    t = tower(p, e)
+    group = lang.GROUP_KINDS[kind]
+    lvl = t.level(1)
+    form = group.default_form(lvl, 2)
+    if group.form_kind is None:
+        assert form is None
+    else:
+        assert form.kind == group.form_kind
+        assert form.gram == canonical_gram(lvl, group.form_kind, 2)
+    rng = random.Random(7)
+    inst = random_instance(t, kind, 2, 2, rng)
+    assert inst.kind == kind
+    cert = solve(inst, rng)
+    assert cert.ok and verify(inst, cert.a, strict=True).ok
 
 
 def test_instance_and_eigenspace_run_no_inverse(monkeypatch):
