@@ -125,15 +125,17 @@ def cmd_lang(args):
     if not components:
         probe = _json_of(probe, list, "c row")[0]
     tower = ff.make_tower(p, e)
-    if r is None:
-        # infer the carrier level from coefficient array lengths
+    carrier = r
+    if carrier is None:
+        # infer the carrier level from coefficient array lengths; the
+        # instance finds r itself, as c may descend below that level
         if isinstance(probe, list):
             if len(probe) % tower.e:
                 raise InputError("entry length incompatible with e")
-            r = len(probe) // tower.e
+            carrier = len(probe) // tower.e
         else:
-            r = 1
-    level = tower.level(tower.extend(r))
+            carrier = 1
+    level = tower.level(tower.extend(carrier))
     form = None
     if form_data is not None:
         form_data = _json_of(form_data, dict, "form")
@@ -147,7 +149,6 @@ def cmd_lang(args):
         raise InputError(f"--d {args.d}, but c has size {size}")
     inst = lang.LangInstance(kind=group, tower=tower, c=c, r=r, s=s,
                              form=form, trust_s=args.trust_s,
-                             order_cap=args.order_cap,
                              max_degree=args.max_degree)
     cert = lang.solve(inst, rng)
     payload = cert.to_json()
@@ -164,8 +165,6 @@ def cmd_lang(args):
 def cmd_chevalley(args):
     rng = random.Random(_seed_from(args))
     rd = rootdata.build(args.type, args.lattice)
-    if args.p is not None and args.p <= 3:
-        raise InputError("characteristic must exceed 3")
     if args.algebra:
         data = _json_of(_load_json_arg(args.algebra), dict, "algebra")
         levelspec = data.get("level", "")
@@ -177,8 +176,6 @@ def cmd_chevalley(args):
             raise InputError(
                 f"bad level spec {levelspec!r}; expected 'p^(e*r)'"
             ) from None
-        if p <= 3:
-            raise InputError("characteristic must exceed 3")
         tower = ff.make_tower(p, e)
         level = tower.level(tower.extend(r))
         dim, triples = data.get("dim"), data.get("triples")
@@ -204,10 +201,8 @@ def cmd_chevalley(args):
                     if P.try_inverse() is not None:
                         break
                 L = liealg.scramble_basis(L, P)
-    budgets = liealg.Budgets(toral_factor=args.toral_factor,
-                             split_factor=args.split_factor)
     # returns only a basis that passed verify_chevalley_basis, else raises
-    basis = liealg.standard_chevalley_basis(L, rd, rng, budgets=budgets)
+    basis = liealg.standard_chevalley_basis(L, rd, rng)
     payload = {"type": args.type, "lattice": args.lattice,
                "verdict": True, "witness": None,
                "basis": basis.to_json()}
@@ -297,7 +292,6 @@ def _build_parser():
     lp.add_argument("--trust-s", action="store_true",
                     help="accept the given s without recomputing the norm "
                          "order")
-    lp.add_argument("--order-cap", type=int, default=10 ** 6)
     lp.add_argument("--max-degree", type=int, default=lang.MAX_DEGREE,
                     help="largest degree rs over k of the level a solution "
                          "may need; past it the run stops with exit code 3 "
@@ -316,10 +310,6 @@ def _build_parser():
                          "before recognition")
     cp.add_argument("--algebra",
                     help="structure-constant JSON (inline or file)")
-    cp.add_argument("--toral-factor", type=int, default=64,
-                    help="draw budget factor for the toral search")
-    cp.add_argument("--split-factor", type=int, default=8,
-                    help="iteration budget factor for the split search")
     cp.set_defaults(func=cmd_chevalley)
 
     wp = sub.add_parser("weyl", help="Weyl group analytics tables",

@@ -152,7 +152,6 @@ class LangInstance:
     s: int = None
     form: BilinearFormFq = None
     trust_s: bool = False
-    order_cap: int = 10 ** 6
     max_degree: int = MAX_DEGREE
 
     def __post_init__(self):
@@ -194,7 +193,7 @@ class LangInstance:
             # a claimed torus s is always compared: the solve needs the s_i
             lows = [_at_level(tower, x, ri) for x, ri in zip(ones, degrees)]
             self.components = [
-                (x, ri, norm_and_order(tower, x, ri, cap=self.order_cap)[1])
+                (x, ri, norm_and_order(tower, x, ri)[1])
                 for x, ri in zip(lows, degrees)]
             s_true = math.lcm(*(si // math.gcd(si, r_true // ri)
                                 for _, ri, si in self.components))
@@ -215,8 +214,7 @@ class LangInstance:
                 raise InputError(group.det_one)
             s_true = None  # a trusted s skips the norm order
             if self.s is None or not self.trust_s:
-                s_true = norm_and_order(tower, cmat, self.r,
-                                        cap=self.order_cap)[1]
+                s_true = norm_and_order(tower, cmat, self.r)[1]
         if self.s is None:
             self.s = s_true
         elif s_true is not None and self.s != s_true:
@@ -273,7 +271,7 @@ def min_field_degree(tower, g):
     raise VerificationError("F^level must fix the element")  # pragma: no cover
 
 
-def norm_and_order(tower, c, r=None, cap=10 ** 6):
+def norm_and_order(tower, c, r=None):
     """(N, s) with N = c^(F^(r-1)) ... c^F c and s its matrix order."""
     if r is None:
         r = min_field_degree(tower, c)
@@ -286,8 +284,7 @@ def norm_and_order(tower, c, r=None, cap=10 ** 6):
     multiple = None
     if N.nrows == 1 and N.planes.any() and N.frobenius(1) == N:
         multiple = tower.level(1).order - 1
-    s = matrix_order(N, cap=cap, multiple=multiple)
-    return N, s
+    return N, matrix_order(N, multiple=multiple)
 
 
 # ---------------------------------------------------------------------------
@@ -739,14 +736,17 @@ def _random_units(group, level, d, rng, form):
 
 def random_group_element(tower, kind, d, level_r, rng, form=None):
     """A random element of the group over k_(level_r): uniform invertible
-    for GL, volume-normalized for SL, Cayley transforms for Sp/SO."""
+    for GL, volume-normalized for SL, Cayley transforms for Sp/SO (of the
+    kind's canonical form when none is given)."""
     group = group_kind(kind)
+    if form is None:
+        form = group.default_form(tower.level(1), d)
     level = tower.level(tower.extend(level_r))
     return group.random_element(group, level, d, rng, form)
 
 
 def random_instance(tower, kind, d, target_level, rng, form=None,
-                    max_rs=None, order_cap=10 ** 6):
+                    max_rs=None):
     """c := a0^(-F) a0 for a random group element a0 at the target level,
     which guarantees solvability with rs dividing the target level."""
     group = group_kind(kind)
@@ -755,8 +755,7 @@ def random_instance(tower, kind, d, target_level, rng, form=None,
     a0 = random_group_element(tower, kind, d, target_level, rng, form=form)
     c = [x.frobenius(1).inverse() * x for x in a0] if group.components \
         else a0.frobenius(1).inverse() @ a0
-    inst = LangInstance(kind=kind, tower=tower, c=c, form=form,
-                        order_cap=order_cap)
+    inst = LangInstance(kind=kind, tower=tower, c=c, form=form)
     if max_rs is not None and inst.rs > max_rs:
         return None
     return inst

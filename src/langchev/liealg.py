@@ -1,7 +1,8 @@
 """Structure-constant p-Lie algebras over tower levels and the split
 maximal toral subalgebra machinery: toral searches, generalized roots,
 direct-sum components, and standard Chevalley basis construction and
-recognition.  Requires characteristic > 3 throughout.
+recognition.  `LieAlgebraFq` refuses characteristic <= 3, so every algebra
+here, and every search on one, has p > 3.
 
 Vectors are coordinate rows; the structure tensor T satisfies
 [b_i, b_j] = sum_k T[i,j,k] b_k, and ad(x) is the matrix with
@@ -12,9 +13,12 @@ subalgebra and the ideal a span generates.  The p-power map is only ever
 used modulo the center, through ad(y) = (ad x)^p, so no s_i terms are
 needed anywhere.
 
-All searches are Las Vegas: they take an explicit RNG and a budget, verify
-their candidate before returning, and raise BudgetExhausted rather than
-ever returning an unverified answer.
+All searches are Las Vegas: they take an explicit RNG, verify their
+candidate before returning, and raise BudgetExhausted rather than ever
+returning an unverified answer.  Their budgets are constants of the
+algorithm, scaled by the rank r of `_rank`: 64 r toral draws, and
+max(12, ceil(8 r log(r + 1))) split draws, each of which either returns a
+verified split torus or is redrawn.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "LieAlgebraFq", "Subalgebra", "GeneralizedRoot", "ChevalleyBasisFq",
-    "Budgets", "from_root_datum", "bracket", "ad_matrix", "center",
+    "from_root_datum", "bracket", "ad_matrix", "center",
     "centralizer", "is_abelian", "p_power_mod_center", "is_split_toral",
     "is_regular_semisimple", "maximal_toral_subalgebra", "generalized_roots",
     "f_minus", "gr_degree", "components", "split_maximal_toral_subalgebra",
@@ -44,39 +48,35 @@ __all__ = [
 ]
 
 
-# fewest split-search iterations, deepest split-search recursion, and
-# whole Chevalley constructions tried before giving up
+# toral draws per unit of rank; fewest split draws and split draws per
+# unit of r log(r + 1); deepest split-search recursion; and whole Chevalley
+# constructions tried before giving up
+_TORAL_DRAWS = 64
 _SPLIT_FLOOR = 12
+_SPLIT_DRAWS = 8
 _RECURSION_LIMIT = 64
 _CHEVALLEY_TRIES = 3
 
 
-@dataclass
-class Budgets:
-    """Retry budgets for the Las Vegas searches, scaled by the rank."""
-    toral_factor: int = 64
-    split_factor: int = 8
-
-    def toral_draws(self, rank_estimate):
-        return self.toral_factor * max(1, rank_estimate)
-
-    def split_iters(self, rank_estimate):
-        r = max(1, rank_estimate)
-        return max(_SPLIT_FLOOR,
-                   math.ceil(self.split_factor * r * math.log(r + 1)))
+def _rank(L):
+    """The rank the search budgets scale with: that of L's root datum, else
+    the estimate floor(sqrt(dim)); at least 1."""
+    return max(1, L.rd.n if L.rd is not None else math.isqrt(L.dim))
 
 
 class LieAlgebraFq:
     """Lie algebra given by a sparse-in-spirit structure tensor (stored as
     dense coefficient planes) over one tower level.
 
-    check="full" (the default) verifies antisymmetry and the Jacobi
-    identity on every triple of basis vectors and raises InputError if
-    either fails; check="none" trusts the tensor, for algebras derived from
-    one already checked.
+    The characteristic must exceed 3 (else InputError).  check="full" (the
+    default) verifies antisymmetry and the Jacobi identity on every triple
+    of basis vectors and raises InputError if either fails; check="none"
+    trusts the tensor, for algebras derived from one already checked.
     """
 
     def __init__(self, level, tensor_planes, rd=None, check="full"):
+        if level.p <= 3:
+            raise InputError("characteristic must exceed 3 for Lie algebras")
         self.level = level
         self.dim = tensor_planes.shape[1]
         self.tensor = tensor_planes % level.p
@@ -365,8 +365,6 @@ class CentralQuotient:
 def from_root_datum(rd, tower, level_r=1, check="full"):
     """Chevalley-basis structure constants reduced mod p.  Characteristic
     > 3 only."""
-    if tower.p <= 3:
-        raise InputError("characteristic must exceed 3 for Lie algebras")
     level = tower.level(tower.extend(level_r))
     n = rd.n
     d = n + rd.num_roots
@@ -414,10 +412,17 @@ def center(L):
     return Subalgebra(L, L.center_rows())
 
 
+def _rows(L, S):
+    """The rows of S: a Subalgebra's basis, a row Mat itself, or Z(L) for
+    None."""
+    if S is None:
+        return L.center_rows()
+    return S.basis if isinstance(S, Subalgebra) else S
+
+
 def centralizer(L, S):
     """Joint ad-kernel of the generators of S (Subalgebra or row Mat)."""
-    rows = S.basis if isinstance(S, Subalgebra) else S
-    return Subalgebra(L, L.ad(rows).left_kernel())
+    return Subalgebra(L, L.ad(_rows(L, S)).left_kernel())
 
 
 def is_abelian(S):
@@ -469,15 +474,12 @@ def is_regular_semisimple(L, x, expected_dim=None):
     return L.ad(x).minpoly_squarefree()
 
 
-def maximal_toral_subalgebra(L, rng, budgets=None):
-    """Random semisimple elements and centralizer descent."""
-    budgets = budgets or Budgets()
-    rank_est = L.rd.n if L.rd is not None else max(1, int(L.dim ** 0.5))
-    draws = budgets.toral_draws(rank_est)
+def maximal_toral_subalgebra(L, rng):
+    """Random semisimple elements and centralizer descent, in 64 r draws."""
     M = Subalgebra(L, L.full_space())
-    if M.is_abelian():
+    if not L.tensor.any():
         return M
-    for _ in range(draws):
+    for _ in range(_TORAL_DRAWS * _rank(L)):
         coeff = Mat.random(L.level, 1, M.dim, rng)
         x = coeff @ M.basis
         if x.is_zero():
@@ -560,9 +562,7 @@ def generalized_roots(L, H, Z=None, rng=None, quotient=None):
     fixed section used.  H must contain Z.
     """
     rng = rng or random.Random(0)
-    Q = quotient or CentralQuotient(L, Z.basis if isinstance(Z, Subalgebra)
-                                    else (Z if Z is not None
-                                          else L.center_rows()))
+    Q = quotient or CentralQuotient(L, _rows(L, Z))
     if not H.contains_space(Subalgebra(L, Q.z)) and Q.z.nrows:
         raise InputError("H must contain Z")
     Qalg = Q.algebra()
@@ -603,21 +603,20 @@ def _closure(L, rows, gens=None):
         cur = nxt
 
 
-def components(L, H=None, Z=None, rng=None, budgets=None):
+def components(L, H=None, Z=None, rng=None):
     """Direct-sum decomposition through the M_f intersection graph.
 
     M_f is taken to be the ideal generated by the generalized root space;
     the subalgebra closure alone leaves the graph edgeless whenever the
     toral subalgebra happens to be split, which would shred a simple
-    algebra into root lines.
+    algebra into root lines.  Z defaults to the part of Z(L) in H.
     """
     rng = rng or random.Random(0)
-    budgets = budgets or Budgets()
     if H is None:
-        H = maximal_toral_subalgebra(L, rng, budgets)
-    zrows = Z.basis if isinstance(Z, Subalgebra) else Z
-    if zrows is None:
-        zrows = intersect_spaces(L.center_rows(), H.basis)
+        H = maximal_toral_subalgebra(L, rng)
+    zrows = _rows(L, Z)
+    if Z is None:
+        zrows = intersect_spaces(zrows, H.basis)
     H = Subalgebra(L, sum_spaces(H.basis, zrows))
     grs, _ = generalized_roots(L, H, Z=zrows, rng=rng)
     if not grs:
@@ -678,105 +677,79 @@ def _k2_root_pair(L, Q, Hq, Wq, rng):
     return base.row_space()
 
 
-def split_maximal_toral_subalgebra(L, Z=None, rng=None, budgets=None,
-                                   _depth=0):
-    """Randomized descent to a split maximal toral subalgebra.
+def split_maximal_toral_subalgebra(L, Z=None, rng=None, _depth=0):
+    """Randomized descent to a split maximal toral subalgebra, in
+    max(12, ceil(8 r log(r + 1))) draws of `_split_draw`.
 
     Las Vegas: the result always passes is_split_toral; on budget
     exhaustion a BudgetExhausted is raised, never a wrong answer.
     """
     rng = rng or random.Random(0)
-    budgets = budgets or Budgets()
-    if L.level.p <= 3:
-        raise InputError("characteristic must exceed 3")
     if _depth > _RECURSION_LIMIT:
         raise BudgetExhausted("split toral recursion too deep")
-    zrows = Z.basis if isinstance(Z, Subalgebra) else Z
-    if zrows is None:
-        zrows = L.center_rows()
-    zrows = zrows.row_space()
+    zrows = _rows(L, Z).row_space()
     Q = CentralQuotient(L, zrows)
-    rank_est = L.rd.n if L.rd is not None else max(1, int(L.dim ** 0.5))
-    iters = budgets.split_iters(rank_est)
-    for _ in range(iters):
+    r = _rank(L)
+    for _ in range(max(_SPLIT_FLOOR,
+                       math.ceil(_SPLIT_DRAWS * r * math.log(r + 1)))):
         try:
-            Hq = maximal_toral_subalgebra(Q.algebra(), rng, budgets)
+            H = _split_draw(L, Q, zrows, rng, _depth)
         except BudgetExhausted:
             continue
-        H = Subalgebra(L, sum_spaces(Q.lift(Hq.basis), zrows))
-        if is_split_toral(L, H, expected_dim=L.rd.n if L.rd else H.dim):
+        if H is not None:
             return H
-        try:
-            grs, _ = generalized_roots(L, H, Z=zrows, rng=rng, quotient=Q)
-        except BudgetExhausted:
-            continue
-        M = None
-        deg1 = [g for g in grs if g[0].degree() == 1]
-        if deg1:
-            f, Lf = deg1[0]
-            fm = f.minus()
-            partner = next((g[1] for g in grs
-                            if g[0].key() == fm.key()), None)
-            rows = Lf.basis if partner is None \
-                else sum_spaces(Lf.basis, partner.basis)
-            M = sum_spaces(_closure(L, rows), zrows)
-        else:
-            deg2 = [g for g in grs if g[0].degree() == 2
-                    and g[0].key() == g[0].minus().key()]
-            if deg2:
-                f, Lf = deg2[0]
-                M = sum_spaces(_closure(L, Lf.basis), zrows)
-                if M.nrows - zrows.nrows != 3:
-                    Hq_rows = Q.project(H.basis).row_space()
-                    qrows = _k2_root_pair(L, Q, Hq_rows,
-                                          Q.project(Lf.basis), rng)
-                    lifted = Q.lift(qrows)
-                    M = sum_spaces(_closure(L, lifted), zrows)
-        if M is None:
-            continue
-        if M.nrows == L.dim:
-            continue  # no proper descent available; redraw H
-        Msub = Subalgebra(L, M)
-        Malg = Msub.restricted_algebra()
-        try:
-            Km = split_maximal_toral_subalgebra(
-                Malg, Z=Malg.center_rows(), rng=rng, budgets=budgets,
-                _depth=_depth + 1)
-        except BudgetExhausted:
-            continue
-        K_rows = Msub.lift(Km.basis)
-        C = centralizer(L, Subalgebra(L, K_rows))
-        Calg = C.restricted_algebra()
-        z_new_in_c = Calg.center_rows()
-        z_new = sum_spaces(C.lift(z_new_in_c), zrows)
-        K_total = z_new
-        try:
-            comps = components(Calg, Z=C.project(z_new), rng=rng,
-                               budgets=budgets)
-        except BudgetExhausted:
-            continue
-        failed = False
-        for comp in comps:
-            comp_alg = comp.restricted_algebra()
-            try:
-                K_comp = split_maximal_toral_subalgebra(
-                    comp_alg, Z=comp_alg.center_rows(), rng=rng,
-                    budgets=budgets, _depth=_depth + 1)
-            except BudgetExhausted:
-                failed = True
-                break
-            K_total = sum_spaces(K_total,
-                                 C.lift(comp.lift(K_comp.basis)))
-        if failed:
-            continue
-        K = Subalgebra(L, K_total)
-        if L.rd is not None:
-            if is_split_toral(L, K, expected_dim=L.rd.n):
-                return K
-        elif is_split_toral(L, K, expected_dim=K.dim) \
-                and centralizer(L, K).dim == K.dim:
-            return K
     raise BudgetExhausted("split maximal toral search exhausted its budget")
+
+
+def _split_draw(L, Q, zrows, rng, depth):
+    """One draw of the split search: a split toral subalgebra, or None.
+
+    A maximal toral H of L/Z is kept when it is split.  Else the root
+    pair of one generalized root (degree 1, or self-negative of degree 2,
+    over k_2 when its block holds more than one pair) generates a proper
+    subalgebra M; a split toral K_M of M, the center of its centralizer C
+    and split tori of C's components sum to the candidate.  A draw that
+    runs out of budget at any stage raises BudgetExhausted."""
+    Hq = maximal_toral_subalgebra(Q.algebra(), rng)
+    H = Subalgebra(L, sum_spaces(Q.lift(Hq.basis), zrows))
+    if is_split_toral(L, H):
+        return H
+    grs, _ = generalized_roots(L, H, rng=rng, quotient=Q)
+    deg1 = [g for g in grs if g[0].degree() == 1]
+    if deg1:
+        f, Lf = deg1[0]
+        fm = f.minus().key()
+        partner = next((S for g, S in grs if g.key() == fm), None)
+        rows = Lf.basis if partner is None \
+            else sum_spaces(Lf.basis, partner.basis)
+        M = sum_spaces(_closure(L, rows), zrows)
+    else:
+        deg2 = [S for g, S in grs
+                if g.degree() == 2 and g.key() == g.minus().key()]
+        if not deg2:
+            return None
+        M = sum_spaces(_closure(L, deg2[0].basis), zrows)
+        if M.nrows - zrows.nrows != 3:
+            qrows = _k2_root_pair(L, Q, Q.project(H.basis).row_space(),
+                                  Q.project(deg2[0].basis), rng)
+            M = sum_spaces(_closure(L, Q.lift(qrows)), zrows)
+    if M.nrows == L.dim:
+        return None  # no proper descent available; redraw H
+    Msub = Subalgebra(L, M)
+    Malg = Msub.restricted_algebra()
+    Km = split_maximal_toral_subalgebra(Malg, Z=Malg.center_rows(), rng=rng,
+                                        _depth=depth + 1)
+    C = centralizer(L, Msub.lift(Km.basis))
+    Calg = C.restricted_algebra()
+    K = sum_spaces(C.lift(Calg.center_rows()), zrows)
+    for comp in components(Calg, Z=C.project(K), rng=rng):
+        comp_alg = comp.restricted_algebra()
+        Kc = split_maximal_toral_subalgebra(
+            comp_alg, Z=comp_alg.center_rows(), rng=rng, _depth=depth + 1)
+        K = sum_spaces(K, C.lift(comp.lift(Kc.basis)))
+    K = Subalgebra(L, K)
+    return K if is_split_toral(L, K) and (
+        L.rd is not None or centralizer(L, K).dim == K.dim) else None
 
 
 def root_decomposition(L, H):
@@ -923,17 +896,14 @@ def _extendable(rd, ws, assign):
     return len(seen) == len(ws.weights)
 
 
-def standard_chevalley_basis(L, rd, rng=None, budgets=None):
+def standard_chevalley_basis(L, rd, rng=None):
     """Full construction pipeline; output always passes
     verify_chevalley_basis or a clean failure is raised."""
     rng = rng or random.Random(0)
-    budgets = budgets or Budgets()
-    if L.level.p <= 3:
-        raise InputError("characteristic must exceed 3")
     last = None
     for _ in range(_CHEVALLEY_TRIES):
         try:
-            basis = _try_chevalley(L, rd, rng, budgets)
+            basis = _try_chevalley(L, rd, rng)
         except BudgetExhausted as exc:
             last = exc
             continue
@@ -945,8 +915,8 @@ def standard_chevalley_basis(L, rd, rng=None, budgets=None):
     raise last or BudgetExhausted("chevalley basis construction failed")
 
 
-def _try_chevalley(L, rd, rng, budgets):
-    H = split_maximal_toral_subalgebra(L, None, rng, budgets)
+def _try_chevalley(L, rd, rng):
+    H = split_maximal_toral_subalgebra(L, None, rng)
     lines = root_decomposition(L, H)
     ws = _WeightSystem(lines.keys())
     simples = _identify_simples(rd, ws)
@@ -1095,8 +1065,6 @@ def verify_chevalley_basis(L, rd, basis):
 def random_inner_automorphism(L, rd, rng, word_length=6):
     """Product of exp(t ad e_alpha) factors on an algebra in standard
     coordinates; bracket preservation is verified on all basis pairs."""
-    if L.level.p <= 3:
-        raise InputError("characteristic must exceed 3")
     level = L.level
     d = L.dim
     g = Mat.identity(level, d)

@@ -249,10 +249,6 @@ class Mat:
         return [[self.entry(i, j).to_json() for j in range(self.ncols)]
                 for i in range(self.nrows)]
 
-    @classmethod
-    def from_json(cls, level, data):
-        return cls.from_entries(level, data)
-
     def __repr__(self):
         return (f"Mat({self.nrows}x{self.ncols} @ "
                 f"{self.level.spec_string()})")
@@ -546,10 +542,6 @@ class PolyFq:
         return cls(level, planes)
 
     @classmethod
-    def x(cls, level):
-        return cls.from_coeffs(level, [0, 1])
-
-    @classmethod
     def zero(cls, level):
         return cls(level, np.zeros((level.m, 0), dtype=np.int64))
 
@@ -739,10 +731,6 @@ class PolyFq:
     def to_json(self):
         return [self.coeff(i).to_json()
                 for i in range(self.planes.shape[1])]
-
-    @classmethod
-    def from_json(cls, level, data):
-        return cls.from_coeffs(level, data)
 
     def __repr__(self):
         if self.is_zero():

@@ -170,6 +170,35 @@ def test_lang_d_must_match_c(capsys):
             assert f"--d {wrong}, but" in capsys.readouterr().err
 
 
+def test_lang_c_written_over_k2_descends_unless_r_is_claimed(capsys):
+    # the coefficient-array length sets the level c is parsed at, not r:
+    # the instance finds r = 1 for a c whose entries lie in k
+    argv = ["lang", "--group", "GL", "--p", "5", "--c", "[[[2,0]]]"]
+    code, out = run(argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] and payload["level"] == "5^(1*4)"
+    assert payload == json.loads(run(["lang", "--group", "GL", "--p", "5",
+                                      "--c", "[[2]]"])[1])
+    capsys.readouterr()
+    code, out = run(argv + ["--r", "2"])
+    assert code == 2 and out == ""
+    assert "claimed r = 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lang", "--group", "GL", "--p", "5", "--c", "[[2]]", "--order-cap",
+     "10"],
+    ["chevalley", "--type", "A1", "--p", "5", "--toral-factor", "32"],
+    ["chevalley", "--type", "A1", "--p", "5", "--split-factor", "4"],
+])
+def test_removed_budget_flags_exit_2(argv):
+    with pytest.raises(SystemExit) as exc, \
+            contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_chevalley_scramble_roundtrip():
     code, out = run(["chevalley", "--type", "A2", "--p", "7", "--scramble",
                      "5", "--seed", "1"])
@@ -334,9 +363,26 @@ def test_no_assert_statements_in_checked_modules():
         assert lines == [], f"assert statements in {name} at {lines}"
 
 
-def test_chevalley_char_guard():
+def test_chevalley_char_guard(capsys):
     code, _ = run(["chevalley", "--type", "A2", "--p", "3"])
     assert code == 2
+    assert "characteristic must exceed 3" in capsys.readouterr().err
+    code, _ = run(["chevalley", "--type", "A2", "--p", "1"])
+    assert code == 2
+    assert "p = 1 is not prime" in capsys.readouterr().err
+
+
+def test_chevalley_algebra_over_gf3_exits_2(tmp_path, capsys):
+    # the characteristic gate of LieAlgebraFq refuses an external algebra
+    # too: sl2 over GF(3), [h, e] = 2e, [h, f] = -2f, [e, f] = h
+    triples = [[0, 1, 1, [2]], [1, 0, 1, [1]], [0, 2, 2, [1]],
+               [2, 0, 2, [2]], [1, 2, 0, [1]], [2, 1, 0, [2]]]
+    path = tmp_path / "sl2_gf3.json"
+    path.write_text(json.dumps({"dim": 3, "level": "3^(1*1)",
+                                "triples": triples}))
+    code, out = run(["chevalley", "--type", "A1", "--algebra", str(path)])
+    assert code == 2 and out == ""
+    assert "characteristic must exceed 3" in capsys.readouterr().err
 
 
 def test_chevalley_unscrambled():
@@ -516,13 +562,6 @@ def test_chevalley_dense_algebra_file(tmp_path):
     code, _ = run(["chevalley", "--type", "B3", "--algebra", str(path),
                    "--seed", "1"])
     assert code == 2
-
-
-def test_chevalley_budget_flags():
-    code, out = run(["chevalley", "--type", "A1", "--p", "5", "--seed",
-                     "0", "--toral-factor", "32", "--split-factor", "4"])
-    assert code == 0
-    assert json.loads(out)["verdict"] is True
 
 
 def test_in_process_calls_build_the_parser_once(monkeypatch):

@@ -826,6 +826,21 @@ def test_every_table_kind_round_trips(kind, p, e):
     assert cert.ok and verify(inst, cert.a, strict=True).ok
 
 
+@pytest.mark.parametrize("kind, d", [("Sp", 2), ("Sp", 4), ("SO", 2),
+                                     ("SO", 3)])
+def test_random_group_element_defaults_to_the_canonical_form(kind, d):
+    # without form=, the element preserves the kind's canonical Gram matrix
+    t = tower(7)
+    M = canonical_gram(t.level(1), lang.GROUP_KINDS[kind].form_kind, d)
+    rng = random.Random(11)
+    for r in (1, 2):
+        g = lang.random_group_element(t, kind, d, r, rng)
+        Mr = M.embed(r)
+        assert g.level.r == r and g @ Mr @ g.transpose() == Mr
+        if kind == "SO":
+            assert g.det() == g.level.one
+
+
 def test_instance_and_eigenspace_run_no_inverse(monkeypatch):
     # invertibility is one det of c, which SL and SO reuse; the eigenspace
     # accumulate is accepted on its determinant too

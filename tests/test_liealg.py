@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from langchev import ff, liealg, linalg, rootdata
-from langchev.errors import InputError, VerificationError
+from langchev.errors import BudgetExhausted, InputError, VerificationError
 from langchev.liealg import (
-    Budgets, Mat, bracket, center, centralizer, from_root_datum,
+    Mat, bracket, center, centralizer, from_root_datum,
     generalized_roots, is_regular_semisimple, is_split_toral,
     maximal_toral_subalgebra, p_power_mod_center, root_decomposition,
     split_maximal_toral_subalgebra, standard_chevalley_basis,
@@ -103,6 +104,14 @@ def test_ad_of_k_rows_is_the_block_row_of_single_ads(p, e, k):
     # on the basis, block j is ad b_j: its row a is [b_a, b_j]
     blocks = L.ad(L.full_space()).planes.reshape(m, d, d, d)
     assert np.array_equal(blocks, L.tensor)
+
+
+def test_from_entries_over_gf3_is_refused():
+    # the one characteristic gate: every algebra is built through __init__
+    level = ff.make_tower(3).level(1)
+    with pytest.raises(InputError, match="characteristic must exceed 3"):
+        liealg.LieAlgebraFq.from_entries(level, 3, [(0, 1, 1, 2),
+                                                    (1, 0, 1, 1)])
 
 
 def test_from_entries_rejects_a_triple_index_past_dim():
@@ -321,6 +330,53 @@ def test_split_toral_postcondition_sweep(t, p):
         H = split_maximal_toral_subalgebra(L, rng=random.Random(seed))
         assert H.dim == L.rd.n
         assert is_split_toral(L, H)
+
+
+def _mixed_sl2_cubed():
+    """sl2^3 over GF(7) in a basis whose first three rows span the
+    nonsplit toral span{e_k - f_k}, each row x_1 +- x_2 +- x_3: every root
+    pair then has the generalized root (X^2 + 4)^3, one self-negative
+    degree-2 block of six dimensions whose closure is the whole algebra."""
+    rd = rd_of("A1xA1xA1")
+    L0 = from_root_datum(rd, tower(7))
+    x = [unit(L0, rd.n + i) - unit(L0, rd.n + rd.neg(i))
+         for i in rd.simple_indices]
+    ys = [x[0] + x[1] + x[2], x[0] - x[1] + x[2], x[0] + x[1] - x[2]]
+    es = [unit(L0, rd.n + i) for i in rd.simple_indices]
+    hs = [unit(L0, i) for i in range(rd.n)]
+    return scramble_basis(L0, Mat.vstack(ys + es + hs))
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_split_search_makes_one_toral_draw_per_split_draw(monkeypatch, r):
+    # a draw that runs out of budget anywhere, in the toral search or in
+    # the k_2 factorization of the fallback, is one draw: the search makes
+    # exactly max(12, ceil(8 r log(r + 1))) of them, then gives up
+    L = sl2(7) if r == 1 else _mixed_sl2_cubed()
+    assert liealg._rank(L) == r
+    draws, k2_fails = [], []
+    factor = liealg.factor
+
+    def toral(M, rng):
+        draws.append(M)
+        if r == 1 or len(draws) % 2:
+            raise BudgetExhausted("no toral draw")
+        return Subalgebra(M, Mat.identity(M.level, M.dim).take_rows(
+            range(3)))
+
+    def factor_k2(f, rng):
+        if f.level.r > 1:
+            k2_fails.append(f)
+            raise BudgetExhausted("no factorization over k_2")
+        return factor(f, rng)
+
+    monkeypatch.setattr(liealg, "maximal_toral_subalgebra", toral)
+    monkeypatch.setattr(liealg, "factor", factor_k2)
+    with pytest.raises(BudgetExhausted, match="exhausted its budget"):
+        split_maximal_toral_subalgebra(L, rng=random.Random(0))
+    budget = max(12, math.ceil(8 * r * math.log(r + 1)))
+    assert len(draws) == budget == (12 if r == 1 else 34)
+    assert len(k2_fails) == (0 if r == 1 else len(draws) // 2)
 
 
 def test_root_decomposition_sl2():
