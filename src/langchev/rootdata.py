@@ -14,13 +14,19 @@ Weyl elements carry both the permutation of the roots and the integer matrix
 of their action on the cocharacter lattice Y.  Every enumeration of W streams
 through a stabilizer chain without materializing the element list, yielding
 only the root columns a statistic reads; groups larger than |W(E6)| sit
-behind an explicit opt-in.  The structure constant table is built the first
+behind an explicit opt-in.  The chain is held as int16 arrays of root
+permutations, and each level's Schreier generators come out of one gather.
+The derangement count reads the stream through the line map
+i -> i mod num_pos (the positive root on the line of root i) as uint8, one
+byte compare per root.  The structure constant table is built the first
 time it is read, so the Weyl analytics never pay for it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +44,7 @@ _CLASSICAL_MAX_RANK = 12
 _DESK_ENUM_LIMIT = 60_000  # |W(E6)| = 51840 is the largest default group
 _BLOCK_ROWS = 4096  # rows of the folded shallow-level table of a chain
 _ROOT_DTYPE = np.int16  # root indices in Weyl streams
+_LINE_DTYPE = np.uint8  # lines (positive root indices) in Weyl streams
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +435,13 @@ class RootDatum:
         """All Weyl elements as an array of root permutations."""
         return np.concatenate(list(self.iter_weyl_chunks(allow_large)))
 
-    def iter_weyl_chunks(self, allow_large=False, columns=None):
+    def iter_weyl_chunks(self, allow_large=False, columns=None, lines=False):
         """Yield arrays of root permutations covering W exactly once,
         restricted to the root indices ``columns`` (all roots by default):
-        row w of a chunk holds w(alpha_c) for c in ``columns``.
+        row w of a chunk holds w(alpha_c) for c in ``columns``.  With
+        ``lines``, it holds the line of w(alpha_c) instead: the index of
+        the positive root in {w(alpha_c), -w(alpha_c)}, which is the root
+        index mod num_pos.
 
         Streams through a stabilizer chain; no full element list is held.
         """
@@ -439,13 +449,18 @@ class RootDatum:
         if order > _DESK_ENUM_LIMIT and not allow_large:
             raise EnumerationGate(
                 f"|W| = {order} exceeds the desk-scale enumeration gate")
-        gens = [tuple(self.simple_reflection(j).perm) for j in range(self.l)]
+        gens = [self.simple_reflection(j).perm for j in range(self.l)]
         chain = _StabilizerChain(gens, self.num_roots)
         if chain.order() != order:
             raise VerificationError("Weyl enumeration miscount")
         if columns is None:
             columns = range(self.num_roots)
-        yield from chain.iter_chunks(np.array(columns, dtype=_ROOT_DTYPE))
+        labels = None
+        if lines:
+            labels = (np.arange(self.num_roots) % self.num_pos).astype(
+                _LINE_DTYPE)
+        yield from chain.iter_chunks(np.array(columns, dtype=_ROOT_DTYPE),
+                                     labels)
 
 
 class WeylElement:
@@ -495,7 +510,7 @@ class WeylElement:
         # their images: it is the right block of rref([C | Cw])
         M = [row[l:] for row in _rref(
             rd.coroot_Y[i] + rd.coroot_Y[self.perm[i]]
-            for i in rd.simple_indices)[0]]
+            for i in rd.simple_indices)]
         out = np.zeros((l, l), dtype=np.int64)
         for i in range(l):
             for j in range(l):
@@ -515,8 +530,8 @@ class WeylElement:
 
 
 def _rref(vecs):
-    """(reduced row echelon form, rank) of integer or rational rows, exact
-    over the rationals (small matrices)."""
+    """Reduced row echelon form of integer or rational rows, exact over the
+    rationals (small matrices)."""
     rows = [[Fraction(x) for x in v] for v in vecs]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
@@ -532,7 +547,26 @@ def _rref(vecs):
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
-    return rows, rank
+    return rows
+
+
+def _independent(vecs):
+    """Yield, for each integer vector in turn, whether it lies outside the
+    span of those before it: one fraction-free elimination pass.  Each new
+    vector is cross-multiplied against the echelon rows kept so far, so no
+    fraction arises, and a kept row is divided by its content."""
+    echelon = []   # (pivot column, row); a row is zero at earlier pivots
+    for v in vecs:
+        v = list(v)
+        for col, row in echelon:
+            if v[col]:
+                a, b = row[col], v[col]
+                v = [a * x - b * y for x, y in zip(v, row)]
+        col = next((c for c, x in enumerate(v) if x), None)
+        if col is not None:
+            g = math.gcd(*v)
+            echelon.append((col, [x // g for x in v]))
+        yield col is not None
 
 
 # ---------------------------------------------------------------------------
@@ -541,62 +575,51 @@ def _rref(vecs):
 
 class _StabilizerChain:
     """Deterministic Schreier-Sims stabilizer chain on a permutation group,
-    with a streaming product iterator over the transversals."""
+    held as arrays of permutations, with a streaming product iterator over
+    the transversals."""
 
     def __init__(self, gens, degree):
         self.degree = degree
         self.base = []
-        self.transversals = []   # list of {point: perm as tuple}
+        self.transversals = []   # per level: coset representatives, by rows
         self.strong_gens = []    # per level: generators of the stabilizer
-        self._build([tuple(g) for g in gens])
-
-    @staticmethod
-    def _compose(a, b):
-        # apply a then b
-        return tuple(b[x] for x in a)
-
-    @staticmethod
-    def _inverse(a):
-        out = [0] * len(a)
-        for i, x in enumerate(a):
-            out[x] = i
-        return tuple(out)
+        self._build(np.array(gens, dtype=_ROOT_DTYPE).reshape(-1, degree))
 
     def _build(self, gens):
-        level_gens = [g for g in gens if any(i != x
-                                             for i, x in enumerate(g))]
-        ident = tuple(range(self.degree))
-        while level_gens:
-            moved = next(i for g in level_gens
-                         for i, x in enumerate(g) if x != i)
+        """Each level in a few gathers.  A row r is the permutation
+        x -> r[x]; a representative maps the base point to its orbit point.
+        The Schreier tree grows breadth first, a new point taking its
+        parent's representative followed by the first generator reaching
+        it, and the Schreier generators u v^-1 (u = rep then g, v the
+        representative of u's base image) keep their first-seen order."""
+        ident = np.arange(self.degree, dtype=_ROOT_DTYPE)
+        level_gens = gens[(gens != ident).any(axis=1)]
+        while len(level_gens):
+            moved = int(np.flatnonzero(level_gens[0] != ident)[0])
             self.base.append(moved)
             self.strong_gens.append(level_gens)
-            # Schreier tree for the orbit of the base point
-            trans = {moved: ident}
-            frontier = [moved]
-            while frontier:
-                fresh = []
-                for pt in frontier:
-                    rep = trans[pt]
-                    for g in level_gens:
-                        img = g[pt]
-                        if img not in trans:
-                            trans[img] = self._compose(rep, g)
-                            fresh.append(img)
-                frontier = fresh
-            self.transversals.append(trans)
-            # Schreier generators for the stabilizer
-            next_gens = []
-            seen = set()
-            for pt, rep in trans.items():
-                for g in level_gens:
-                    u = self._compose(rep, g)
-                    v = trans[g[pt]]
-                    sg = self._compose(u, self._inverse(v))
-                    if sg != ident and sg not in seen:
-                        seen.add(sg)
-                        next_gens.append(sg)
-            level_gens = next_gens
+            k = len(level_gens)
+            reps = frontier = ident[None, :]
+            row_of = np.full(self.degree, -1)   # orbit point -> its rep's row
+            row_of[moved] = 0
+            while len(frontier):
+                images = level_gens[:, frontier[:, moved]].T.ravel()
+                _, first = np.unique(images, return_index=True)
+                first = np.sort(first[row_of[images[first]] < 0])
+                frontier = level_gens[(first % k)[:, None],
+                                      frontier[first // k]]
+                row_of[images[first]] = len(reps) + np.arange(len(first))
+                reps = np.concatenate([reps, frontier])
+            self.transversals.append(reps)
+            inverses = np.empty_like(reps)
+            inverses[np.arange(len(reps))[:, None], reps] = ident
+            u = np.swapaxes(level_gens[:, reps], 0, 1).reshape(-1, self.degree)
+            v = row_of[level_gens[:, reps[:, moved]].T.ravel()]
+            schreier = inverses[v[:, None], u]
+            distinct = dict.fromkeys(map(bytes, schreier))
+            distinct.pop(ident.tobytes(), None)
+            level_gens = np.frombuffer(b"".join(distinct), dtype=_ROOT_DTYPE
+                                       ).reshape(-1, self.degree)
 
     def order(self):
         total = 1
@@ -604,22 +627,26 @@ class _StabilizerChain:
             total *= len(t)
         return total
 
-    def iter_chunks(self, columns):
+    def iter_chunks(self, columns, labels=None):
         """Yield arrays of permutations, restricted to ``columns``,
-        covering the group once.
+        covering the group once; with ``labels``, each entry x is read as
+        labels[x].
 
         Every element factors uniquely as u_0 u_1 ... u_{k-1} (deepest
         transversal applied first, level 0 last).  The shallowest levels
-        are folded into one table of at least _BLOCK_ROWS rows, read
-        through one gather per step of an odometer over the deeper levels.
+        are folded into one table of at least _BLOCK_ROWS rows, relabelled
+        once, and read through one gather per step of an odometer over the
+        deeper levels.
         """
-        levels = [np.array(sorted(t.values()), dtype=_ROOT_DTYPE)
-                  for t in self.transversals]
+        # each transversal in lexicographic order of its rows
+        levels = [t[np.lexsort(t.T[::-1])] for t in self.transversals]
         block = np.arange(self.degree, dtype=_ROOT_DTYPE)[None, :]
         depth = 0
         while depth < len(levels) and block.shape[0] < _BLOCK_ROWS:
             block = block[:, levels[depth]].reshape(-1, self.degree)
             depth += 1
+        if labels is not None:
+            block = labels[block]
         # stored by columns, so that a step gathers whole contiguous rows
         by_column = np.ascontiguousarray(block.T)
 
@@ -738,7 +765,8 @@ def subcoxeter_element(rd):
     perp = _orthogonal_subsystem(rd, beta)
     if perp:
         comps = _subsystem_components(rd, perp)
-        comps.sort(key=lambda c: -_rref(rd.coords[i] for i in c)[1])
+        comps.sort(key=lambda c: -sum(_independent(rd.coords[i]
+                                                   for i in c)))
         main = comps[0]
         positive_part = [i for i in main if i < rd.num_pos]
         for s in _simple_system_of(rd, positive_part):
@@ -757,14 +785,14 @@ def reflection_derangement_stats(rd, allow_large=False):
             count *= c
             total *= t
         return count, total, Fraction(count, total)
-    # w(-a) = -w(a), so the positive roots decide
-    idx = np.arange(rd.num_pos, dtype=_ROOT_DTYPE)
-    neg = idx + rd.num_pos
+    # w(-a) = -w(a), so the positive roots decide: w fixes the reflection
+    # s_a exactly when w(a) lies on the line of a
+    idx = np.arange(rd.num_pos, dtype=_LINE_DTYPE)
     count = 0
     total = 0
-    for chunk in rd.iter_weyl_chunks(allow_large=allow_large, columns=idx):
-        fixes = ((chunk == idx) | (chunk == neg)).any(axis=1)
-        count += int((~fixes).sum())
+    for chunk in rd.iter_weyl_chunks(allow_large=allow_large, columns=idx,
+                                     lines=True):
+        count += int((~(chunk == idx).any(axis=1)).sum())
         total += chunk.shape[0]
     return count, total, Fraction(count, total)
 
@@ -859,10 +887,8 @@ def orbit_constants(rd, w):
             seen[i] = True
             orbit.append(i)
             i = w.perm[i]
-        vecs = [rd.coords[j] for j in orbit]
-        run = 1
-        while run < len(vecs) and _rref(vecs[:run + 1])[1] == run + 1:
-            run += 1
+        run = sum(1 for _ in itertools.takewhile(
+            bool, _independent(rd.coords[j] for j in orbit)))
         cs[run - 1] += 1
     return tuple(cs)
 

@@ -106,6 +106,35 @@ def test_ad_of_k_rows_is_the_block_row_of_single_ads(p, e, k):
     assert np.array_equal(blocks, L.tensor)
 
 
+@pytest.mark.parametrize("p, e", [(7, 1), (5, 2)])
+@pytest.mark.parametrize("t", ["A2", "B2"])
+def test_is_abelian_matches_the_full_bracket_product(t, p, e):
+    L = from_root_datum(rd_of(t), tower(p, e))
+    d, rng = L.dim, random.Random(f"{t}{p}{e}")
+    spans = [Mat.random(L.level, k, d, rng) for k in range(d + 1)
+             for _ in range(3)]
+    # abelian spans too: the Cartan rows, and multiples of one vector
+    spans.append(Mat.identity(L.level, d).take_rows(range(L.rd.l)))
+    x = Mat.random(L.level, 1, d, rng)
+    spans.append(Mat.vstack([x, x * L.level.element(3)]))
+    verdicts = []
+    for rows in spans:
+        S = Subalgebra(L, rows)
+        verdicts.append(S.is_abelian())
+        assert verdicts[-1] == (S.basis @ L.ad(S.basis)).is_zero()
+    assert True in verdicts and False in verdicts
+
+
+def test_is_abelian_of_sl2_stops_after_one_row(monkeypatch):
+    L = sl2(7)
+    rows_bracketed = []
+    ad = L.ad
+    monkeypatch.setattr(L, "ad", lambda x: rows_bracketed.append(x.nrows)
+                        or ad(x))
+    assert not Subalgebra(L, L.full_space()).is_abelian()
+    assert rows_bracketed == [1]
+
+
 def test_from_entries_over_gf3_is_refused():
     # the one characteristic gate: every algebra is built through __init__
     level = ff.make_tower(3).level(1)

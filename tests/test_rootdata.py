@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import sys
 import threading
@@ -5,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from langchev import rootdata as rdm
 from langchev.errors import EnumerationGate, InputError
@@ -289,6 +292,181 @@ def test_streaming_chain_matches_bfs():
         assert len(rows) == len(ref)
         assert set(rows) == ref
         assert {tuple(r) for r in rd.weyl_elements_array().tolist()} == ref
+
+
+def _chain_by_tuples(gens, degree):
+    """(base, transversals, strong generators) of the stabilizer chain,
+    built by composing permutation tuples one Schreier generator at a time:
+    the oracle for the array build.  A transversal is a dict from orbit
+    point to representative, in insertion order."""
+    def compose(a, b):   # a then b
+        return tuple(b[x] for x in a)
+
+    def inverse(a):
+        out = [0] * len(a)
+        for i, x in enumerate(a):
+            out[x] = i
+        return tuple(out)
+
+    ident = tuple(range(degree))
+    base, transversals, strong_gens = [], [], []
+    level_gens = [tuple(g) for g in gens if tuple(g) != ident]
+    while level_gens:
+        moved = next(i for g in level_gens
+                     for i, x in enumerate(g) if x != i)
+        base.append(moved)
+        strong_gens.append(level_gens)
+        trans = {moved: ident}
+        frontier = [moved]
+        while frontier:
+            fresh = []
+            for pt in frontier:
+                for g in level_gens:
+                    if g[pt] not in trans:
+                        trans[g[pt]] = compose(trans[pt], g)
+                        fresh.append(g[pt])
+            frontier = fresh
+        transversals.append(trans)
+        next_gens, seen = [], set()
+        for pt, rep in trans.items():
+            for g in level_gens:
+                sg = compose(compose(rep, g), inverse(trans[g[pt]]))
+                if sg != ident and sg not in seen:
+                    seen.add(sg)
+                    next_gens.append(sg)
+        level_gens = next_gens
+    return base, transversals, strong_gens
+
+
+@pytest.mark.parametrize("t", ["A1xA2", "G2", "B3", "C4", "D5", "F4", "E6",
+                               "E7"])
+def test_array_chain_matches_the_tuple_chain(t):
+    rd = rdm.build(t)
+    gens = [rd.simple_reflection(j).perm for j in range(rd.l)]
+    base, transversals, strong_gens = _chain_by_tuples(gens, rd.num_roots)
+    chain = rdm._StabilizerChain(gens, rd.num_roots)
+    assert chain.base == base
+    # a representative maps the base point to its orbit point
+    assert [[(rep[b], tuple(rep)) for rep in reps.tolist()]
+            for reps, b in zip(chain.transversals, chain.base)] \
+        == [list(trans.items()) for trans in transversals]
+    assert [[tuple(g) for g in level.tolist()]
+            for level in chain.strong_gens] == strong_gens
+    assert chain.order() == rd.weyl_order()
+
+
+# sha256 of weyl_elements_array().tobytes(), int16: the enumeration order
+WEYL_ARRAY_SHA256 = {
+    "A3": "1dde0ab44ba93125dc0e74f0c474c9f3b8a26441fe5686a7739d41f31c2f95cf",
+    "B3": "da32215d67294223da61ef2bec9b5f20129d385d9e3a586b588d7f901ab1754d",
+    "F4": "e7a03e482ef1627044cfbdab526047b520f3e5c4bd458f0c97cc6d34274001e6",
+    "D5": "f542e8b155a8da1a9e3f3b0594dc1361e99c6e56b17fc4a1ff7e64aeb0886db8",
+    "E6": "a714fc0874fa429377d57378f8abb0cd8b89c673b9c0983a238b8a1159df55c1",
+}
+
+
+@pytest.mark.parametrize("t", sorted(WEYL_ARRAY_SHA256))
+def test_weyl_elements_array_bytes_are_pinned(t):
+    arr = rdm.build(t).weyl_elements_array()
+    assert arr.dtype == np.int16
+    assert hashlib.sha256(arr.tobytes()).hexdigest() == WEYL_ARRAY_SHA256[t]
+
+
+LINE_TYPES = ([f"{letter}{n}" for letter, low in (("A", 1), ("B", 2),
+                                                  ("C", 2), ("D", 3))
+               for n in range(low, rdm._CLASSICAL_MAX_RANK + 1)]
+              + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def test_root_lines_fit_the_line_stream():
+    """The line of root i is i mod num_pos: the positive root of its pair
+    {alpha, -alpha}, which must fit the line dtype."""
+    largest = 0
+    for t in LINE_TYPES:
+        rd = rdm.build(t)
+        for i in range(rd.num_roots):
+            line = i % rd.num_pos
+            assert line == rd.neg(i) % rd.num_pos
+            assert rd.coords[i] in (rd.coords[line],
+                                    tuple(-x for x in rd.coords[line]))
+        largest = max(largest, rd.num_pos)
+    assert largest == 144   # B12 and C12
+    assert largest <= np.iinfo(rdm._LINE_DTYPE).max
+
+
+@pytest.mark.parametrize("t", ["A1xA2", "B3", "F4"])
+def test_line_stream_is_the_root_stream_mod_num_pos(t):
+    rd = rdm.build(t)
+    cols = np.arange(rd.num_pos)
+    roots = list(rd.iter_weyl_chunks(columns=cols))
+    lines = list(rd.iter_weyl_chunks(columns=cols, lines=True))
+    assert [len(c) for c in lines] == [len(c) for c in roots]
+    assert all(c.dtype == rdm._LINE_DTYPE for c in lines)
+    assert np.array_equal(np.concatenate(lines),
+                          np.concatenate(roots) % rd.num_pos)
+
+
+@pytest.mark.parametrize("t, h", [("A3", 4), ("B4", 8), ("D6", 10),
+                                  ("E6", 12), ("F4", 12), ("G2", 6),
+                                  ("E7", 18)])
+def test_coxeter_element_centralizer_order_is_the_coxeter_number(t, h):
+    # Springer (1974): a Coxeter element generates its own centralizer
+    rd = rdm.build(t)
+    assert rdm.centralizer_order(rd, rdm.coxeter_element(rd),
+                                 allow_large=t == "E7") == h
+
+
+_vector_lists = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    min_size=1, max_size=n + 2))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_vector_lists)
+@example([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+@example([[1, 0], [0, 1], [1, 1], [0, 0]])
+@example([[0, 0, 0], [1, -1, 0]])
+@example([[3, 0, 0], [0, 2, 0], [3, 2, 0], [0, 0, 5]])
+def test_independent_flags_match_sympy_prefix_ranks(vecs):
+    ranks = [sympy.Matrix(vecs[:k]).rank() for k in range(1, len(vecs) + 1)]
+    assert list(rdm._independent(vecs)) \
+        == [r > before for r, before in zip(ranks, [0] + ranks)]
+
+
+def _orbit_constants_by_rref(rd, w):
+    """orbit_constants with the Fraction rref of every prefix of every
+    orbit: the oracle for the incremental pass."""
+    seen = [False] * rd.num_roots
+    cs = [0] * rd.l
+    for start in range(rd.num_roots):
+        orbit, i = [], start
+        while not seen[i]:
+            seen[i] = True
+            orbit.append(rd.coords[i])
+            i = w.perm[i]
+        if not orbit:
+            continue
+        run = 1
+        while run < len(orbit) and sum(any(row) for row in rdm._rref(
+                orbit[:run + 1])) == run + 1:
+            run += 1
+        cs[run - 1] += 1
+    return tuple(cs)
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "F4", "E6", "E7"])
+def test_orbit_constants_match_the_rref_reference(t):
+    rd = rdm.build(t)
+    if rd.weyl_order() <= 48:
+        elements = [rdm.WeylElement(rd, tuple(row))
+                    for row in rd.weyl_elements_array().tolist()]
+    else:
+        rng = np.random.default_rng(rd.num_roots)
+        elements = [rd.weyl_from_word(
+            rng.integers(1, rd.l + 1, size=rng.integers(1, 40)).tolist())
+            for _ in range(200)]
+    for w in elements:
+        assert rdm.orbit_constants(rd, w) == _orbit_constants_by_rref(rd, w)
 
 
 def _sample_elements(rd):
