@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,10 +373,27 @@ def from_root_datum(rd, tower, level_r=1, check="full"):
     """Chevalley-basis structure constants reduced mod p.  Characteristic
     > 3 only."""
     level = tower.level(tower.extend(level_r))
+    planes = _reference_planes(rd, tower.p, level.m).astype(np.int64)
+    return LieAlgebraFq(level, planes, rd=rd, check=check)
+
+
+# (p, m) -> read-only reference planes, per root datum
+_REFERENCE_PLANES = weakref.WeakKeyDictionary()
+
+
+def _reference_planes(rd, p, m):
+    """The structure tensor of rd's Chevalley basis mod p as a read-only
+    (m, d, d, d) plane stack, built once per (rd, p, m).  The constants lie
+    in GF(p), in plane 0, so the tower does not matter, and they are held
+    in the narrowest integer type that fits p - 1 (int8 up to p = 127),
+    which keeps F4's at 140 kB."""
+    cache = _REFERENCE_PLANES.setdefault(rd, {})
+    planes = cache.get((p, m))
+    if planes is not None:
+        return planes
     n = rd.n
     d = n + rd.num_roots
-    planes = np.zeros((level.m, d, d, d), dtype=np.int64)
-    p = tower.p
+    planes = np.zeros((m, d, d, d), dtype=np.min_scalar_type(1 - p))
 
     def eidx(r):
         return n + r
@@ -399,7 +417,8 @@ def from_root_datum(rd, tower, level_r=1, check="full"):
             if t is not None:
                 planes[0, eidx(r), eidx(s), eidx(t)] = \
                     rd.structure_constant_by_index(r, s) % p
-    return LieAlgebraFq(level, planes, rd=rd, check=check)
+    planes.flags.writeable = False
+    return cache.setdefault((p, m), planes)
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +560,18 @@ def gr_degree(f):
 
 def _refine(W, ads, rng):
     """Primary decomposition of the row space W under the matrices in ads,
-    one after another: each part S is cut into the nonzero row spaces
+    one after another: each part S is cut into the row spaces
     ker g(A|S)^mult @ S over the factors g^mult of the characteristic
     polynomial of A|S.  Returns (labels, part) pairs, the labels being the
-    tuple of factors that cut the part."""
+    tuple of factors that cut the part.
+
+    A single factor leaves S whole.  Over k >= 2 factors, with
+    G_j = g_j(A|S)^(m_j), the part of g_i is the image of the product of
+    the other G_j (Bezout over pairwise coprime factors; Hoffman-Kunze,
+    Linear Algebra, 6.8), so it costs one elimination of rank
+    deg(g_i) m_i instead of a kernel of all of S.  The image always lies in
+    the kernel of G_i, so a part of dimension deg(g_i) m_i is the whole
+    generalized eigenspace; any other dimension raises VerificationError."""
     parts = [((), W)]
     for A in ads:
         fresh = []
@@ -552,12 +579,34 @@ def _refine(W, ads, rng):
             Ar = S.solve_left(S @ A)  # A on the invariant part S
             if Ar is None:
                 raise VerificationError("subspace not invariant")
-            for g, mult in factor(Ar.charpoly(), rng):
-                ker = (g.eval_mat(Ar) ** mult).left_kernel()
-                if ker.nrows:
-                    fresh.append((label + (g,), (ker @ S).row_space()))
+            factors = factor(Ar.charpoly(), rng)
+            if len(factors) == 1:
+                images = [S.row_space()]
+            else:
+                images = [(P @ S).row_space() for P in _complements(
+                    [g.eval_mat(Ar) ** mult for g, mult in factors])]
+            for (g, mult), part in zip(factors, images):
+                if part.nrows != g.degree * mult:
+                    raise VerificationError(
+                        "primary part dimension differs from its factor's")
+                fresh.append((label + (g,), part))
         parts = fresh
     return parts
+
+
+def _complements(mats):
+    """For k >= 2 commuting matrices M_0, ..., M_(k-1), the k products of
+    all but one of them, in order, from prefix and suffix products: 3k - 6
+    products in all, none for k = 2."""
+    pre = [mats[0]]  # pre[j] = M_0 ... M_j
+    for M in mats[1:-1]:
+        pre.append(pre[-1] @ M)
+    suf = [mats[-1]]
+    for M in mats[-2:0:-1]:
+        suf.append(M @ suf[-1])
+    suf.reverse()  # suf[j] = M_(j+1) ... M_(k-1)
+    return ([suf[0]] + [pre[i - 1] @ suf[i] for i in range(1, len(mats) - 1)]
+            + [pre[-1]])
 
 
 def generalized_roots(L, H, Z=None, rng=None, quotient=None):
@@ -1028,7 +1077,7 @@ def verify_chevalley_basis(L, rd, basis):
     if Pinv is None:
         return False, "candidate basis does not span the algebra"
     got = _bracket_in(L, P, lambda x: x @ Pinv)
-    want = from_root_datum(rd, L.level.tower, L.level.r, check="none").tensor
+    want = _reference_planes(rd, L.level.p, L.level.m)
     # bad[i, j] is set where [b_i, b_j] differs from the reference
     bad = (got != want).any(axis=(0, 3))
     n = rd.n

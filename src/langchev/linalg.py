@@ -961,16 +961,9 @@ class _GFpPoly:
         return _GFpPoly(self.level, _trim([c % p for c in out]))
 
     def __mul__(self, other):
-        a, b = self.ints, other.ints
-        if not a or not b:
-            return _GFpPoly(self.level, [])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, y in enumerate(b):
-                    out[i + j] += c * y
         p = self.level.p
-        return _GFpPoly(self.level, [c % p for c in out])
+        return _GFpPoly(self.level,
+                        [c % p for c in _list_mul(self.ints, other.ints)])
 
     def __divmod__(self, other):
         quot, rem = _list_divmod(self.ints, other.ints, self.level.p)
@@ -992,12 +985,33 @@ class _GFpPoly:
         return _GFpPoly(self.level, a).monic()
 
     def pow_mod(self, n, modulus):
-        """self^n mod modulus by `_power`, a division after each
-        product."""
-        base = self % modulus
+        """self^n mod modulus by `_power` on bare lists: each step is one
+        `_list_mul`, whose coefficients `_list_divmod` reduces mod p along
+        with the division."""
         if n == 0:
             return _GFpPoly(self.level, [1])
-        return _power(base, n, lambda a, b: a * b % modulus)
+        p, f = self.level.p, modulus.ints
+
+        def mulmod(a, b):
+            prod = _list_mul(a, b)
+            if len(prod) < len(f):
+                return [c % p for c in prod]
+            return _list_divmod(prod, f, p)[1]
+
+        return _GFpPoly(self.level, _power((self % modulus).ints, n, mulmod))
+
+
+def _list_mul(a, b):
+    """The product of two coefficient lists, its coefficients left
+    unreduced."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, y in enumerate(b):
+                out[i + j] += c * y
+    return out
 
 
 # ---------------------------------------------------------------------------

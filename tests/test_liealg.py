@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from langchev import ff, liealg, linalg, rootdata
 from langchev.errors import BudgetExhausted, InputError, VerificationError
@@ -858,6 +860,189 @@ def test_k2_root_pair_machinery():
     # the block is a single +-alpha pair, so the recovered k-form must be
     # the block itself (here span{h, e+f}, the ad(e-f) eigenplane)
     assert lifted.row_space() == Lf.basis
+
+
+def _refine_by_kernels(W, ads, rng):
+    """The loop _refine ran before: each factor's part is the left kernel
+    of g(A|S)^mult, carried back through S."""
+    parts = [((), W)]
+    for A in ads:
+        fresh = []
+        for label, S in parts:
+            Ar = S.solve_left(S @ A)
+            for g, mult in linalg.factor(Ar.charpoly(), rng):
+                ker = (g.eval_mat(Ar) ** mult).left_kernel()
+                if ker.nrows:
+                    fresh.append((label + (g,), (ker @ S).row_space()))
+        parts = fresh
+    return parts
+
+
+def _conjugated_blocks(level, blocks, rng):
+    """(P, spans, J, D) for blocks of (kind, data, label): J is
+    block-diagonal, a "jordan" block (eigenvalue index, size) being
+    lambda I + N and a "companion" block (coefficient indices c_0 .. c_(k-1),
+    low degree first) the companion matrix of X^k + sum c_i X^i; D is
+    constant, the element of index label, on each block, so it commutes
+    with J.  Both come conjugated by a random invertible P, so the rows of
+    P over a union of spans (not in echelon form) are invariant under
+    both."""
+    d = sum(data[1] if kind == "jordan" else len(data)
+            for kind, data, _ in blocks)
+    J = [[0] * d for _ in range(d)]
+    D = [[0] * d for _ in range(d)]
+    spans, at = [], 0
+    for kind, data, label in blocks:
+        if kind == "jordan":
+            lam, size = data
+            for i in range(size):
+                J[at + i][at + i] = lam
+        else:
+            size = len(data)
+            for i, c in enumerate(data):
+                J[at + size - 1][at + i] = -level.element(c)
+        for i in range(size - 1):
+            J[at + i][at + i + 1] = 1
+        for i in range(size):
+            D[at + i][at + i] = label
+        spans.append(range(at, at + size))
+        at += size
+    while True:
+        P = Mat.random(level, d, d, rng)
+        Pinv = P.try_inverse()
+        if Pinv is not None:
+            break
+    return (P, spans, Pinv @ Mat.from_entries(level, J) @ P,
+            Pinv @ Mat.from_entries(level, D) @ P)
+
+
+def _check_refine(level, blocks, keep, order, seed):
+    """_refine against the kernel oracle on the rows of P over the kept
+    blocks, under J and D in the given order: the same labels, parts and
+    draws."""
+    rng = random.Random(seed)
+    P, spans, J, D = _conjugated_blocks(level, blocks, rng)
+    W = P.take_rows([i for b in sorted(keep) for i in spans[b]])
+    ads = [{"J": J, "D": D}[c] for c in order]
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    got = liealg._refine(W, ads, got_rng)
+    want = _refine_by_kernels(W, ads, want_rng)
+    assert [lab for lab, _ in got] == [lab for lab, _ in want]
+    assert [S for _, S in got] == [S for _, S in want]
+    assert got_rng.getstate() == want_rng.getstate()
+    assert sum(S.nrows for _, S in got) == W.nrows
+    return got
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (5, 2)])
+@pytest.mark.parametrize("blocks,keep,order", [
+    # one 1 x 1 part
+    ([("jordan", (3, 1), 0)], {0}, "J"),
+    # one factor with a nontrivial Jordan block, kept whole
+    ([("jordan", (2, 3), 0)], {0}, "JD"),
+    # (X - 1)^3 over two Jordan blocks beside (X - 2)^2
+    ([("jordan", (1, 2), 0), ("jordan", (2, 2), 1), ("jordan", (1, 1), 2)],
+     {0, 1, 2}, "J"),
+    # a repeated companion block, split apart by D afterwards
+    ([("companion", [3, 0], 0), ("companion", [3, 0], 1),
+      ("jordan", (4, 2), 1)], {0, 1, 2}, "JD"),
+    # D first: block-scalar parts, each then cut by J
+    ([("jordan", (0, 2), 0), ("companion", [1, 1, 0], 1),
+      ("jordan", (0, 1), 1), ("jordan", (5, 1), 2)], {0, 1, 3}, "DJ"),
+    # four distinct factors: prefix and suffix products
+    ([("jordan", (1, 1), 0), ("jordan", (2, 2), 0), ("jordan", (3, 1), 0),
+      ("companion", [3, 0], 0)], {0, 1, 2, 3}, "J"),
+])
+def test_refine_matches_kernel_oracle(p, e, blocks, keep, order):
+    level = tower(p, e).level(1)
+    for seed in range(3):
+        _check_refine(level, blocks, keep, order, seed)
+
+
+@st.composite
+def _refine_case(draw):
+    """Up to four blocks whose eigenvalues and companion coefficients come
+    from a few indices, so factors repeat across blocks; a nonempty set of
+    blocks spanning W; the order of J and D."""
+    p, e = draw(st.sampled_from([(7, 1), (5, 2)]))
+    small = st.integers(0, 3)
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            data = (draw(small), draw(st.integers(1, 3)))
+            blocks.append(("jordan", data, draw(st.integers(0, 2))))
+        else:
+            data = draw(st.lists(small, min_size=1, max_size=3))
+            blocks.append(("companion", data, draw(st.integers(0, 2))))
+    keep = draw(st.sets(st.integers(0, len(blocks) - 1), min_size=1))
+    order = draw(st.sampled_from(["J", "JD", "DJ"]))
+    return p, e, blocks, keep, order, draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_refine_case())
+def test_refine_matches_kernel_oracle_on_random_blocks(case):
+    p, e, blocks, keep, order, seed = case
+    _check_refine(tower(p, e).level(1), blocks, keep, order, seed)
+
+
+def test_refine_matches_kernel_oracle_on_the_k2_fallback_inputs():
+    # the block _k2_root_pair refines over k_2: a quotient projection of a
+    # subalgebra basis, not in echelon form
+    L = sl2(7)
+    H = Subalgebra(L, unit(L, 1) - unit(L, 2))
+    Q = liealg.CentralQuotient(L, L.center_rows())
+    grs, _ = generalized_roots(L, H, quotient=Q)
+    Hq = Q.project(H.basis).row_space()
+    Wq = Q.project(grs[0][1].basis)
+    r2 = L.level.tower.extend(2)
+    W = Wq.embed(r2)
+    ads = liealg._blocks(Q.algebra().embed(r2).ad(Hq.embed(r2)), Hq.nrows)
+    got = liealg._refine(W, ads, random.Random(0))
+    assert got == _refine_by_kernels(W, ads, random.Random(0))
+    assert [S.nrows for _, S in got] == [1, 1]
+
+
+@pytest.mark.parametrize("blocks,first_mult", [
+    ([("jordan", (3, 2), 0)], 2),                       # one factor
+    ([("jordan", (2, 2), 0), ("jordan", (1, 1), 0)], 2),  # two factors
+])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_refine_refuses_a_wrong_multiplicity(monkeypatch, blocks,
+                                             first_mult, delta):
+    level = tower(7).level(1)
+    P, spans, J, _ = _conjugated_blocks(level, blocks, random.Random(1))
+    real = linalg.factor
+
+    def wrong(f, rng):
+        (g, mult), *rest = real(f, rng)
+        assert mult == first_mult
+        return [(g, mult + delta)] + rest
+
+    monkeypatch.setattr(liealg, "factor", wrong)
+    with pytest.raises(VerificationError, match="dimension"):
+        liealg._refine(P, [J], random.Random(0))
+
+
+def test_reference_planes_built_once_and_read_only(monkeypatch):
+    rd = rd_of("B2")
+    planes = liealg._reference_planes(rd, 7, 2)
+    assert not planes.flags.writeable
+    with pytest.raises(ValueError):
+        planes[0, 0, 0, 0] = 1
+    assert liealg._reference_planes(rd, 7, 2) is planes
+    L = from_root_datum(rd, tower(7, 2))
+    assert L.tensor.flags.writeable and L.tensor.dtype == np.int64
+    assert np.array_equal(L.tensor, planes) and not planes[1:].any()
+    basis = standard_chevalley_basis(L, rd, random.Random(1))
+
+    def rebuilt(*args):
+        raise AssertionError("reference tensor rebuilt")
+
+    monkeypatch.setattr(rd, "structure_constant_by_index", rebuilt)
+    for _ in range(2):
+        assert verify_chevalley_basis(L, rd, basis) == (True, None)
 
 
 def test_descend_roundtrip():

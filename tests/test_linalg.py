@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.galoistools import (gf_degree, gf_div, gf_factor, gf_gcd,
                                      gf_irreducible_p, gf_mul, gf_pow,
-                                     gf_sqf_list, gf_strip)
+                                     gf_pow_mod, gf_sqf_list, gf_strip)
 
 from langchev import ff, linalg
 from langchev.errors import BudgetExhausted, InputError
@@ -676,6 +676,23 @@ def test_pow_mod_matches_divmod_loop(p, e):
             if e == 1:  # the arithmetic `factor` runs at m = 1
                 got = _GFpPoly.of(base).pow_mod(n, _GFpPoly.of(modulus))
                 assert got.poly() == want, (d, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 7, 251, 2 ** 61 - 1]), st.data())
+def test_gfp_pow_mod_matches_sympy(p, data):
+    # moduli of degree 1 to 8, monic or not; bases zero, below, at and above
+    # their degree; exponents up to past q^deg; p = 2^61 - 1 keeps the
+    # unreduced products of `_list_mul` far beyond 64 bits
+    coeff = st.integers(0, p - 1)
+    mod_be = [data.draw(st.integers(1, p - 1))] + data.draw(
+        st.lists(coeff, min_size=1, max_size=8))
+    base_be = gf_strip(data.draw(st.lists(coeff, max_size=20)))
+    n = data.draw(st.one_of(st.integers(0, 64), st.integers(0, p ** 9)))
+    got = _GFpPoly(lvl(p), base_be[::-1]).pow_mod(
+        n, _GFpPoly(lvl(p), mod_be[::-1]))
+    assert got.ints == [int(c) for c in reversed(
+        gf_pow_mod(base_be, n, mod_be, p, ZZ))]
 
 
 def test_charpoly_and_pow_mod_product_counts(monkeypatch):

@@ -279,11 +279,11 @@ def _weyl_bfs(rd):
     return np.array(rows, dtype=np.int32)
 
 
-ORACLE_TYPES = ("A3", "B3", "F4", "D5", "E6", "A1xA2")
+CHAIN_TYPES = ("A3", "B3", "F4", "D5", "E6", "A1xA2")
 
 
 def test_streaming_chain_matches_bfs():
-    for t in ORACLE_TYPES:
+    for t in CHAIN_TYPES:
         rd = rdm.build(t)
         ref = {tuple(r) for r in _weyl_bfs(rd).tolist()}
         assert len(ref) == rd.weyl_order()
@@ -478,7 +478,7 @@ def _sample_elements(rd):
     return out
 
 
-@pytest.mark.parametrize("t", ORACLE_TYPES)
+@pytest.mark.parametrize("t", CHAIN_TYPES)
 def test_column_restricted_stats_match_full_permutations(t):
     rd = rdm.build(t)
     full = _weyl_bfs(rd)
